@@ -22,7 +22,6 @@ import os
 import time
 
 from repro.engine import Engine, EngineConfig
-from repro.engine.adapters import run_conformance_sharded
 from repro.oracle import FORMATS_BY_NAME
 from repro.oracle.runner import run_conformance
 
@@ -41,11 +40,10 @@ def _engine(workers: int, cache_path=None) -> Engine:
     ))
 
 
-def _sharded(engine: Engine):
+def _sweep(engine: Engine):
     fmt = FORMATS_BY_NAME["binary16"]
-    return run_conformance_sharded(
-        fmt, BENCH_OPS, engine, budget=BENCH_BUDGET, seed=BENCH_SEED,
-        slices_per_op=BENCH_WORKERS * 2,
+    return run_conformance(
+        fmt, BENCH_OPS, budget=BENCH_BUDGET, seed=BENCH_SEED, engine=engine,
     )
 
 
@@ -60,7 +58,7 @@ def measure() -> dict:
     serial_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    parallel_report = _sharded(_engine(BENCH_WORKERS))
+    parallel_report = _sweep(_engine(BENCH_WORKERS))
     parallel_seconds = time.perf_counter() - started
 
     bit_identical = (parallel_report.canonical_json()
@@ -70,10 +68,10 @@ def measure() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         cache_path = os.path.join(tmp, "bench-cache.jsonl")
         warm = _engine(0, cache_path=cache_path)
-        _sharded(warm)
+        _sweep(warm)
         rerun = _engine(0, cache_path=cache_path)
         started = time.perf_counter()
-        cached_report = _sharded(rerun)
+        cached_report = _sweep(rerun)
         cached_seconds = time.perf_counter() - started
         report = rerun.last_report
         cache_hit_rate = (report.from_cache / report.shards
@@ -128,12 +126,12 @@ def test_engine_bench_acceptance():
 
 
 def test_serial_engine_overhead(benchmark):
-    """Engine bookkeeping on top of the serial oracle is negligible."""
+    """A serial sweep on an explicit in-process engine."""
     fmt = FORMATS_BY_NAME["binary16"]
     eng = _engine(0)
     report = benchmark(
-        run_conformance_sharded, fmt, ["add"], eng,
-        budget=500, seed=BENCH_SEED, slices_per_op=2,
+        run_conformance, fmt, ["add"], budget=500, seed=BENCH_SEED,
+        engine=eng,
     )
     serial = run_conformance(fmt, ["add"], budget=500, seed=BENCH_SEED)
     assert report.canonical_json() == serial.canonical_json()
@@ -144,14 +142,12 @@ def test_cached_rerun_latency(benchmark, tmp_path):
     fmt = FORMATS_BY_NAME["binary16"]
     cache_path = tmp_path / "cache.jsonl"
     warm = _engine(0, cache_path=cache_path)
-    run_conformance_sharded(fmt, ["add"], warm, budget=500,
-                            seed=BENCH_SEED, slices_per_op=2)
+    run_conformance(fmt, ["add"], budget=500, seed=BENCH_SEED, engine=warm)
 
     def rerun():
         eng = _engine(0, cache_path=cache_path)
-        return run_conformance_sharded(
-            fmt, ["add"], eng, budget=500, seed=BENCH_SEED,
-            slices_per_op=2,
+        return run_conformance(
+            fmt, ["add"], budget=500, seed=BENCH_SEED, engine=eng,
         )
 
     report = benchmark(rerun)

@@ -128,17 +128,15 @@ TOTAL_SLACK_SECONDS = 0.25
 
 def _sweep(workers: int):
     from repro.engine import Engine, EngineConfig
-    from repro.engine.adapters import run_conformance_sharded
-    from repro.oracle import FORMATS_BY_NAME
+    from repro.oracle import FORMATS_BY_NAME, run_conformance
 
     engine = Engine(EngineConfig(
         workers=workers, cache_enabled=False, shard_timeout=300.0,
     ))
     started = time.perf_counter()
-    report = run_conformance_sharded(
-        FORMATS_BY_NAME["binary16"], BENCH_OPS, engine,
-        budget=BENCH_BUDGET, seed=BENCH_SEED,
-        slices_per_op=BENCH_WORKERS * 2,
+    report = run_conformance(
+        FORMATS_BY_NAME["binary16"], BENCH_OPS,
+        budget=BENCH_BUDGET, seed=BENCH_SEED, engine=engine,
     )
     return report, time.perf_counter() - started
 

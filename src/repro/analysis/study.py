@@ -24,6 +24,7 @@ from repro.analysis.factors import (
 from repro.analysis.performance import fig12_performance, fig13_histogram
 from repro.analysis.questions import fig14_core_questions, fig15_opt_questions
 from repro.analysis.suspicion import fig22_suspicion
+from repro.engine.tasks import spec_job, split_evenly, task
 from repro.population.response_model import (
     simulate_developers,
     simulate_students,
@@ -101,14 +102,55 @@ def analyze(responses: Sequence[SurveyResponse]) -> StudyResults:
     return StudyResults(figures=tuple(figures), responses=responses)
 
 
+@task("study.simulate_slice")
+def _simulate_slice_task(params: dict, ctx) -> list[dict]:
+    """Engine task: respondents ``[start, stop)`` of one cohort, as
+    records."""
+    simulate = {
+        "developer": simulate_developers,
+        "student": simulate_students,
+    }[params["cohort"]]
+    responses = simulate(
+        params["n"], params["seed"],
+        start=params["start"], stop=params["stop"],
+    )
+    return [r.to_dict() for r in responses]
+
+
 def run_study(
-    seed: int = 754, n_developers: int = 199, n_students: int = 52
+    seed: int = 754, n_developers: int = 199, n_students: int = 52,
+    *, engine=None,
 ) -> StudyResults:
-    """Simulate both cohorts and regenerate the paper's full evaluation."""
+    """Simulate both cohorts and regenerate the paper's full evaluation.
+
+    Simulation (the expensive phase) is one job on ``engine`` (default:
+    an in-process :class:`~repro.engine.Engine` with the result cache
+    off), each cohort cut into
+    :attr:`~repro.engine.Engine.shards_per_unit` contiguous ranges; the
+    figures are regenerated here from the merged records.  Respondents
+    are pure functions of their cohort position, so the results render
+    and serialize identically at any worker count.
+    """
+    from repro.engine import in_process_engine
+
+    engine = engine or in_process_engine()
+    param_list = [
+        {"cohort": cohort, "n": n, "seed": seed, "start": lo, "stop": hi}
+        for cohort, n in (("developer", n_developers), ("student", n_students))
+        for lo, hi in split_evenly(n, engine.shards_per_unit)
+    ]
+
+    def merge(results: list[list[dict]]) -> StudyResults:
+        return analyze([
+            SurveyResponse.from_dict(record)
+            for records in results
+            for record in records
+        ])
+
     with get_telemetry().tracer.span(
         "study.run", seed=seed, developers=n_developers, students=n_students
     ):
-        responses = simulate_developers(
-            n_developers, seed
-        ) + simulate_students(n_students, seed)
-        return analyze(responses)
+        return engine.run(spec_job(
+            "study", "study.simulate_slice", param_list,
+            seed=seed, merge=merge,
+        ))

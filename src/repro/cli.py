@@ -65,9 +65,9 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--parallel", type=int, default=0, metavar="N",
-        help="run the sweep on the sharded execution engine with N"
-             " worker processes (0: serial, the default; results are"
-             " bit-identical either way)",
+        help="run the sweep's shards on N engine worker processes"
+             " (0: in process with no result cache, the default;"
+             " results are bit-identical either way)",
     )
     parser.add_argument(
         "--cache", default=None, metavar="PATH", dest="cache_path",
@@ -81,16 +81,19 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_engine(args: argparse.Namespace):
-    """An :class:`~repro.engine.Engine` per the command's flags."""
+    """An :class:`~repro.engine.Engine` per the command's flags.
+
+    ``--parallel 0`` (the default) is the in-process engine with the
+    result cache off, so a serial run touches no cache file.
+    """
     from repro.engine import Engine, EngineConfig, default_cache_path
 
-    cache_path = None
-    if not args.no_cache:
-        cache_path = args.cache_path or default_cache_path()
+    cached = args.parallel > 0 and not args.no_cache
     return Engine(EngineConfig(
         workers=max(0, args.parallel),
-        cache_enabled=not args.no_cache,
-        cache_path=cache_path,
+        cache_enabled=cached,
+        cache_path=(args.cache_path or default_cache_path()) if cached
+        else None,
     ))
 
 
@@ -99,6 +102,13 @@ def _engine_interrupted():
     from repro.errors import EngineInterrupted
 
     return EngineInterrupted
+
+
+def _print_engine_summary(args: argparse.Namespace, engine,
+                          prefix: str = "\n") -> None:
+    """Print the engine line, for ``--parallel`` runs only."""
+    if args.parallel > 0:
+        print(prefix + _engine_summary(engine))
 
 
 def _engine_summary(engine) -> str:
@@ -530,20 +540,12 @@ def _cmd_quiz(args: argparse.Namespace) -> int:
 def _cmd_study(args: argparse.Namespace) -> int:
     from repro.analysis.study import run_study
 
-    engine = _build_engine(args) if args.parallel > 0 else None
+    engine = _build_engine(args)
     with _telemetry_scope(args):
-        if engine is not None:
-            from repro.engine.adapters import run_study_sharded
-
-            study = run_study_sharded(
-                engine, seed=args.seed, n_developers=args.developers,
-                n_students=args.students,
-            )
-        else:
-            study = run_study(
-                seed=args.seed, n_developers=args.developers,
-                n_students=args.students,
-            )
+        study = run_study(
+            seed=args.seed, n_developers=args.developers,
+            n_students=args.students, engine=engine,
+        )
         if args.figure is not None:
             print(study.figure(args.figure).render())
         else:
@@ -558,8 +560,7 @@ def _cmd_study(args: argparse.Namespace) -> int:
 
             target = write_report(study, args.report)
             print(f"wrote full report to {target}")
-    if engine is not None:
-        print(f"\n{_engine_summary(engine)}")
+    _print_engine_summary(args, engine)
     return 0
 
 
@@ -692,35 +693,22 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         for ftz in switch[args.ftz]
         for daz in switch[args.daz]
     ]
-    engine = _build_engine(args) if args.parallel > 0 else None
-    try:
-        with _telemetry_scope(args):
-            if engine is not None:
-                from repro.engine import graceful_shutdown
-                from repro.engine.adapters import run_conformance_sharded
+    from repro.engine import graceful_shutdown
 
-                with graceful_shutdown():
-                    report = run_conformance_sharded(
-                        fmt, ops, engine,
-                        budget=args.budget,
-                        seed=args.seed,
-                        modes=modes,
-                        env_combos=env_combos,
-                        tininess=args.tininess,
-                        native=not args.no_native,
-                        engine_backend=args.engine_backend,
-                    )
-            else:
-                report = run_conformance(
-                    fmt, ops,
-                    budget=args.budget,
-                    seed=args.seed,
-                    modes=modes,
-                    env_combos=env_combos,
-                    tininess=args.tininess,
-                    native=not args.no_native,
-                    engine_backend=args.engine_backend,
-                )
+    engine = _build_engine(args)
+    try:
+        with _telemetry_scope(args), graceful_shutdown():
+            report = run_conformance(
+                fmt, ops,
+                budget=args.budget,
+                seed=args.seed,
+                modes=modes,
+                env_combos=env_combos,
+                tininess=args.tininess,
+                native=not args.no_native,
+                engine_backend=args.engine_backend,
+                engine=engine,
+            )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -728,8 +716,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         print(f"interrupted: {exc}", file=sys.stderr)
         return 130
     print(report.summary())
-    if engine is not None:
-        print(f"\n{_engine_summary(engine)}")
+    _print_engine_summary(args, engine)
     if args.json:
         try:
             report.write_json(args.json, timing=not args.no_timing)
@@ -802,13 +789,14 @@ def _lint_corpus(args: argparse.Namespace) -> int:
         GOLDEN_PATH,
         check_golden,
         check_golden_witnesses,
+        corpus_outcomes,
         precision_summary,
         witness_outcomes,
         witness_summary,
         write_golden,
     )
 
-    engine = _build_engine(args) if args.parallel > 0 else None
+    engine = _build_engine(args)
     with _telemetry_scope(args):
         witnesses = None
         if args.witness or args.write_golden:
@@ -818,11 +806,7 @@ def _lint_corpus(args: argparse.Namespace) -> int:
             print(f"wrote {len(document['entries'])} golden entries and "
                   f"{len(document['witnesses'])} witness outcomes to "
                   f"{GOLDEN_PATH}")
-        outcomes = None
-        if engine is not None:
-            from repro.engine.adapters import run_corpus_sharded
-
-            outcomes = run_corpus_sharded(engine)
+        outcomes = corpus_outcomes(engine)
         summary = precision_summary(outcomes)
         print(f"gotchas detected: {summary['gotchas_detected']}"
               f"/{summary['gotchas_total']}")
@@ -845,8 +829,7 @@ def _lint_corpus(args: argparse.Namespace) -> int:
                 print("  unresolved: " + ", ".join(wsummary["unresolved"]))
                 witness_ok = False
             drift += check_golden_witnesses(outcomes=witnesses)
-    if engine is not None:
-        print(_engine_summary(engine))
+    _print_engine_summary(args, engine, prefix="")
     if drift:
         print(f"golden drift ({len(drift)} entries):")
         for line in drift:

@@ -1,15 +1,19 @@
 """Sharded parallel execution for the repo's heavyweight sweeps.
 
-The engine re-expresses the expensive computations — the oracle's
-differential conformance sweep, the study simulation, divergence
-searches, the lint-corpus sweep — as **jobs**: ordered lists of pure,
-JSON-serializable **shards** executed on a fault-tolerant
-multiprocessing worker pool, fronted by a content-addressed result
-cache.
+The engine is the one execution path of the expensive computations —
+the oracle's differential conformance sweep
+(:func:`~repro.oracle.runner.run_conformance`), the study simulation
+(:func:`~repro.analysis.study.run_study`) and the lint-corpus sweep
+(:func:`~repro.staticfp.corpus.corpus_outcomes`).  Each builds one
+**job**: an ordered list of pure, JSON-serializable **shards**, run in
+process (``workers`` 0 or 1) or on a fault-tolerant multiprocessing
+worker pool, fronted by a content-addressed result cache.
 
 The non-negotiable contract is *bit-identity*: a job's merged result
-is byte-for-byte the serial code path's result, at any worker count,
-with any shard served from cache.  Three mechanisms carry it:
+is byte-for-byte the same at any worker count and with any shard
+served from cache.  Because a serial run *is* the engine at
+``workers=0``, "sharded == serial" holds by construction.  Three
+mechanisms carry it:
 
 - per-shard randomness is **derived from position**, never drawn from
   a shared sequential stream (:func:`~repro.engine.tasks.derive_seed`,
@@ -21,75 +25,51 @@ with any shard served from cache.  Three mechanisms carry it:
 
 Layering::
 
-    tasks.py     job model, task registry, seed derivation
+    tasks.py     job model, task registry, seed derivation, spec_job
     cache.py     content-addressed result cache (LRU + JSONL disk)
     events.py    EngineFlag fault events on the telemetry stream
     worker.py    worker-process entry point
     pool.py      multiprocessing pool: batching, heartbeats, retries
     engine.py    the facade: cache -> pool/serial -> ordered merge
     shutdown.py  drain-first SIGINT/SIGTERM handling
-    adapters.py  sharded twins of oracle/study/optsim/staticfp runs
     testing.py   fault-injection tasks (crash/hang/fail probes)
+
+The task bodies live next to the code they call:
+``oracle.op_slice`` in :mod:`repro.oracle.runner`,
+``study.simulate_slice`` in :mod:`repro.analysis.study` and
+``staticfp.lint_entries`` in :mod:`repro.staticfp.corpus`.
 """
 
-from repro.engine.cache import (
-    MISS,
-    CacheStats,
-    ResultCache,
-    cache_key,
-    default_cache_path,
-    machine_fingerprint,
-)
-from repro.engine.engine import Engine, EngineConfig, RunReport
-from repro.engine.events import EngineFlag, PoolStats, emit_engine_event
-from repro.engine.pool import (
-    PoolConfig,
-    WorkerPool,
-    active_pools,
-    request_stop_all,
-)
-from repro.engine.shutdown import graceful_shutdown
-from repro.engine.tasks import (
-    Job,
-    Shard,
-    ShardContext,
-    TaskSpec,
-    derive_seed,
-    ensure_tasks_loaded,
-    execute_task,
-    get_task,
-    make_job,
-    registered_tasks,
-    task,
-)
+import importlib
 
-__all__ = [
-    "Engine",
-    "EngineConfig",
-    "EngineFlag",
-    "RunReport",
-    "PoolConfig",
-    "PoolStats",
-    "WorkerPool",
-    "active_pools",
-    "request_stop_all",
-    "graceful_shutdown",
-    "Job",
-    "Shard",
-    "ShardContext",
-    "TaskSpec",
-    "derive_seed",
-    "make_job",
-    "task",
-    "get_task",
-    "registered_tasks",
-    "execute_task",
-    "ensure_tasks_loaded",
-    "emit_engine_event",
-    "MISS",
-    "CacheStats",
-    "ResultCache",
-    "cache_key",
-    "machine_fingerprint",
-    "default_cache_path",
-]
+#: Public name -> the submodule defining it.  Names resolve on first
+#: access, so the modules that register tasks (``from
+#: repro.engine.tasks import task``) do not import the pool and cache.
+_EXPORTS = {
+    **dict.fromkeys(("MISS", "CacheStats", "ResultCache", "cache_key",
+                     "default_cache_path", "machine_fingerprint"), "cache"),
+    **dict.fromkeys(("Engine", "EngineConfig", "RunReport",
+                     "in_process_engine"), "engine"),
+    **dict.fromkeys(("EngineFlag", "PoolStats", "emit_engine_event"),
+                    "events"),
+    **dict.fromkeys(("PoolConfig", "WorkerPool", "active_pools",
+                     "request_stop_all"), "pool"),
+    "graceful_shutdown": "shutdown",
+    **dict.fromkeys(("Job", "Shard", "ShardContext", "TaskSpec",
+                     "derive_seed", "ensure_tasks_loaded", "execute_task",
+                     "get_task", "make_job", "registered_tasks", "spec_job",
+                     "task"), "tasks"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -1,7 +1,8 @@
 """The engine facade: cache → pool/serial → ordered merge.
 
-:class:`Engine` is the one entry point adapters and the CLI use.  Per
-job it:
+:class:`Engine` is the one execution path of the oracle, study and
+lint-corpus sweeps, the service's coalesced jobs and ``repro engine
+run``.  Per job it:
 
 1. looks every shard up in the content-addressed result cache (when
    the job is cacheable);
@@ -34,7 +35,7 @@ from repro.engine.tasks import Job, Shard, ShardContext, execute_task
 from repro.errors import EngineError, ShardError
 from repro.telemetry import get_telemetry
 
-__all__ = ["EngineConfig", "Engine", "RunReport"]
+__all__ = ["EngineConfig", "Engine", "RunReport", "in_process_engine"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,6 +113,19 @@ class Engine:
         self.last_report: RunReport | None = None
         self._active_pool: WorkerPool | None = None
         self._closed = False
+
+    @property
+    def shards_per_unit(self) -> int:
+        """How many shards a job plans per independent unit of work (an
+        oracle op, a study cohort, the lint corpus).
+
+        In process, one: extra shards would only repeat per-shard setup
+        (regenerating a case stream, re-sampling a cohort's
+        backgrounds).  On a pool, twice the worker count, so a slow
+        shard does not leave the other workers idle.
+        """
+        workers = self.config.workers
+        return 2 * workers if workers >= 2 else 1
 
     # -- internals -----------------------------------------------------
 
@@ -276,3 +290,10 @@ class Engine:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+def in_process_engine() -> Engine:
+    """The sweeps' default engine: shards run in the calling process and
+    the result cache is off, so a serial run reads and writes no cache
+    entry."""
+    return Engine(EngineConfig(cache_enabled=False))

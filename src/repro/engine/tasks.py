@@ -26,6 +26,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import threading
 from collections.abc import Callable, Sequence
 from typing import Any
 
@@ -38,6 +39,7 @@ __all__ = [
     "Job",
     "derive_seed",
     "make_job",
+    "spec_job",
     "task",
     "get_task",
     "registered_tasks",
@@ -137,12 +139,49 @@ def make_job(
     return Job(name=name, shards=shards, merge=merge, cacheable=cacheable)
 
 
+def spec_job(
+    name: str,
+    task_name: str,
+    param_list: Sequence[dict[str, Any]],
+    *,
+    seed: int,
+    merge: Callable[[list[Any]], Any] | None = None,
+) -> Job:
+    """Build a job whose shard seeds are addressed by *spec*, not position.
+
+    :func:`make_job` seeds by shard index, which is right for tasks that
+    draw on ``ctx.seed``.  Tasks that carry their own seeds in their
+    params only feed the shard seed into the cache key, and deriving it
+    from ``(seed, task_name, spec.canonical())`` keeps that key
+    independent of where the shard sits in the job: re-slicing a sweep,
+    or coalescing a request with different riders, leaves every
+    unchanged shard's cache entry valid.
+    """
+    shards = []
+    for index, params in enumerate(param_list):
+        spec = TaskSpec(task=task_name, params=dict(params))
+        shards.append(Shard(
+            index=index, spec=spec,
+            seed=derive_seed(seed, task_name, spec.canonical()),
+        ))
+    return Job(name=name, shards=tuple(shards), merge=merge)
+
+
+def split_evenly(n: int, parts: int) -> list[tuple[int, int]]:
+    """``[0, n)`` as up to ``parts`` contiguous, non-empty ``(lo, hi)``
+    ranges whose sizes differ by at most one."""
+    parts = max(1, min(parts, n))
+    bounds = [n * j // parts for j in range(parts + 1)]
+    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+
+
 # ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
 
 _REGISTRY: dict[str, TaskFn] = {}
 _TASK_MODULES_LOADED = False
+_LOAD_LOCK = threading.RLock()
 
 
 def task(name: str) -> Callable[[TaskFn], TaskFn]:
@@ -190,10 +229,19 @@ def ensure_tasks_loaded() -> None:
     """Import every module that registers tasks (idempotent).
 
     Called by worker bootstrap and by registry lookups, so both fork
-    and spawn start methods see the full registry.
+    and spawn start methods see the full registry.  The flag is set
+    only once every import has finished, under a lock: a concurrent
+    first lookup waits for the registry instead of finding it empty.
     """
     global _TASK_MODULES_LOADED
     if _TASK_MODULES_LOADED:
         return
-    _TASK_MODULES_LOADED = True
-    from repro.engine import adapters, testing  # noqa: F401  (registration)
+    with _LOAD_LOCK:
+        if _TASK_MODULES_LOADED:
+            return
+        # imported for their @task registrations
+        import repro.analysis.study  # noqa: F401
+        import repro.engine.testing  # noqa: F401
+        import repro.oracle.runner  # noqa: F401
+        import repro.staticfp.corpus  # noqa: F401
+        _TASK_MODULES_LOADED = True

@@ -69,7 +69,6 @@ __all__ = [
     "SweepResult",
     "exhaustive_sweep",
     "guided_search",
-    "sweep_slice",
 ]
 
 _EVENT_PREFIX = "witness"
@@ -498,27 +497,22 @@ def exhaustive_sweep(
     config: MachineConfig,
     *,
     bindings: Mapping[str, object] | None = None,
-    regions: Mapping[str, "object"] | None = None,
     check_flags: bool = True,
     max_states: int = 1 << 22,
     chunk: int = 4096,
     backend: str = "auto",
-    start: int = 0,
-    stop: int | None = None,
 ) -> SweepResult:
     """Enumerate every admitted operand combination, lane-parallel.
 
     The index space is the mixed-radix product of the per-variable
-    region sizes; ``start``/``stop`` select a slice of it (how the
-    sharded engine splits a sweep across workers).  Values are compared
-    bit-for-bit with all NaNs identified; the first diverging index is
-    re-checked scalar before being reported.
+    region sizes.  Values are compared bit-for-bit with all NaNs
+    identified; the first diverging index is re-checked scalar before
+    being reported.
     """
     from repro.optsim.batch_eval import evaluate_many
     from repro.optsim.compliance import _same_value, check_binding
 
-    if regions is None:
-        regions = sweep_regions(expr, optimized, config, bindings)
+    regions = sweep_regions(expr, optimized, config, bindings)
     names = sorted(regions)
     sizes = [regions[name].size for name in names]
     total = 1
@@ -527,9 +521,8 @@ def exhaustive_sweep(
     if total > max_states:
         raise ValueError(
             f"exhaustive sweep of {total} states exceeds the"
-            f" {max_states}-state budget; shard it or bind tighter"
+            f" {max_states}-state budget; bind tighter"
         )
-    stop = total if stop is None else min(stop, total)
     fmt = config.fmt
     strict_config = STRICT.replace(fmt=fmt)
 
@@ -541,8 +534,8 @@ def exhaustive_sweep(
         return out
 
     checked = 0
-    for base_index in range(start, stop, chunk):
-        hi = min(base_index + chunk, stop)
+    for base_index in range(0, total, chunk):
+        hi = min(base_index + chunk, total)
         batch = [binding_at(i) for i in range(base_index, hi)]
         strict_results = evaluate_many(
             expr, batch, strict_config, backend
@@ -564,7 +557,7 @@ def exhaustive_sweep(
                     witness=binding,
                     value_diverged=vdiv,
                     flags_diverged=fdiv,
-                    states=stop - start,
+                    states=total,
                     checked=checked,
                 )
     return SweepResult(
@@ -572,61 +565,6 @@ def exhaustive_sweep(
         witness=None,
         value_diverged=False,
         flags_diverged=False,
-        states=stop - start,
+        states=total,
         checked=checked,
     )
-
-
-def sweep_slice(
-    expr_source: str,
-    level: str,
-    region_dicts: Mapping[str, Mapping],
-    start: int,
-    stop: int,
-    *,
-    check_flags: bool = True,
-    backend: str = "auto",
-    fmt: str | None = None,
-) -> dict:
-    """Engine-task entry point: sweep one slice of the index space from
-    serialized inputs, returning the first diverging index (or None)
-    and the number of states checked.  ``fmt`` overrides the level's
-    format by name (how a TINY8 proof sweep of a binary64 level
-    crosses the process boundary).  Kept here so the task body in
-    :mod:`repro.engine.adapters` stays a thin shim."""
-    from repro.optsim.parser import parse_expr
-    from repro.optsim.pipeline import optimize
-    from repro.staticfp.regions import BitRegion
-
-    config = _resolve_level(level)
-    if fmt is not None:
-        from repro.oracle import FORMATS_BY_NAME
-
-        config = config.replace(fmt=FORMATS_BY_NAME[fmt])
-    expr = parse_expr(expr_source)
-    optimized = optimize(expr, config)
-    regions = {
-        name: BitRegion.from_dict(data)
-        for name, data in region_dicts.items()
-    }
-    result = exhaustive_sweep(
-        expr,
-        optimized,
-        config,
-        regions=regions,
-        check_flags=check_flags,
-        backend=backend,
-        start=start,
-        stop=stop,
-        max_states=1 << 62,
-    )
-    return {"index": result.found_index, "checked": result.checked}
-
-
-def _resolve_level(level: str) -> MachineConfig:
-    from repro.optsim import config_from_flags, optimization_level
-
-    try:
-        return optimization_level(level)
-    except Exception:
-        return config_from_flags(level)

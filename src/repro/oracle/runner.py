@@ -2,7 +2,8 @@
 
 For every generated case the runner executes the operation three ways —
 
-1. the softfloat **engine** under a fresh :class:`FPEnv`,
+1. the softfloat **engine**, through a softfloat backend
+   (:func:`repro.softfloat.get_backend`; each lane a fresh environment),
 2. the exact-rounding **oracle** (:mod:`repro.oracle.exact`),
 3. where the host natively implements the format and the environment
    is the hardware default, **native** floats via numpy —
@@ -16,6 +17,11 @@ Every environment combination the quiz references is driven: all five
 rounding directions crossed with FTZ/DAZ off and on.  Boundary-lattice
 cases are checked under *every* combination; random-stream cases cycle
 through the matrix round-robin so a budget buys breadth first.
+
+A sweep runs as one job on the execution engine (:mod:`repro.engine`):
+each op's case stream is cut into slices, each slice is one
+``oracle.op_slice`` task, and a serial run is simply the in-process
+engine with one slice per op.
 """
 
 from __future__ import annotations
@@ -26,8 +32,11 @@ import time
 import zlib
 from collections.abc import Sequence
 
+import numpy as np
+
+from repro.engine.tasks import spec_job, task
 from repro.errors import ReproError
-from repro.fpenv.env import FPEnv
+from repro.fpenv.flags import FPFlag
 from repro.fpenv.rounding import RoundingMode
 from repro.oracle.cases import (
     EXHAUSTIVE_WIDTH_LIMIT,
@@ -43,6 +52,7 @@ from repro.oracle.native import (
 from repro.oracle.report import ConformanceReport, Discrepancy, OpStats
 from repro.oracle.shrink import shrink_case
 from repro.softfloat.arith import fp_add, fp_div, fp_mul, fp_sub
+from repro.softfloat.backend import get_backend, lane_dtype
 from repro.softfloat.fma import fp_fma
 from repro.softfloat.formats import (
     BFLOAT16,
@@ -102,93 +112,58 @@ class OracleMismatch(ReproError):
     cross-validation path) when the engine and oracle disagree."""
 
 
-def _engine_run(
-    op: str,
-    fmt: FloatFormat,
-    operands: tuple[int, ...],
-    mode: RoundingMode,
-    ftz: bool,
-    daz: bool,
-) -> tuple[int, object]:
-    """Execute one case on the softfloat engine; returns (bits, flags)."""
-    env = FPEnv(rounding=mode, ftz=ftz, daz=daz)
-    values = tuple(SoftFloat(fmt, bits) for bits in operands)
-    result = ENGINE_OPS[op](*values, env)
-    return result.bits, env.flags
-
-
 #: Batch granularity for backend-driven engine evaluation.  Large enough
 #: to amortize numpy dispatch, small enough to keep the working set in
 #: cache for wide formats.
 _ENGINE_CHUNK = 4096
 
+#: Evaluations drawn from the case stream per engine pass: the engine
+#: side of a window is computed in bulk, then the oracle replays it in
+#: stream order.  Bounds memory on large budgets.
+_EVAL_WINDOW = 16 * _ENGINE_CHUNK
 
-def _batched_engine_results(
+
+def _engine_results(
     op: str,
     fmt: FloatFormat,
-    plan: list[tuple[int, tuple[int, ...], RoundingMode, bool, bool]],
+    evals: Sequence[tuple],
     backend,
-) -> list[tuple[int, object]]:
-    """Run a slice's evaluation plan through a softfloat backend.
+) -> list[tuple[int, FPFlag]]:
+    """The engine side of ``evals``, computed through a softfloat backend.
 
-    ``plan`` rows are ``(case_index, operands, mode, ftz, daz)``.
-    Evaluations are grouped by environment — one ``run_packed`` call
-    handles a whole (mode, FTZ, DAZ) cell at a time — and results come
-    back aligned with the plan, as the same ``(bits, FPFlag)`` pairs
-    :func:`_engine_run` would have produced.  Cells the backend does
-    not support (e.g. binary128 on the integer-lane batch kernels)
-    fall back to the scalar engine lane by lane, so the plan always
-    completes and the differential verdict never depends on backend
-    coverage.
+    Rows end in ``(operands, mode, ftz, daz)``.  Evaluations are grouped
+    by environment — one ``run_packed`` call handles a whole (mode,
+    FTZ, DAZ) cell at a time — and results come back aligned with
+    ``evals`` as ``(bits, FPFlag)`` pairs.  Cells the backend does not
+    support (e.g. binary128 on the integer-lane batch kernels) run on
+    :class:`~repro.softfloat.backend.ScalarBackend`, which supports
+    every op and format, so the differential verdict never depends on
+    backend coverage.
     """
-    import numpy as np
-
-    from repro.fpenv.flags import FPFlag
-
-    results: list[tuple[int, object] | None] = [None] * len(plan)
+    results: list = [None] * len(evals)
     groups: dict[tuple, list[int]] = {}
-    for pos, (_, _, mode, ftz, daz) in enumerate(plan):
-        groups.setdefault((mode, ftz, daz), []).append(pos)
+    for pos, row in enumerate(evals):
+        groups.setdefault(row[-3:], []).append(pos)
+    arity = OP_ARITY[op]
+    dtype = lane_dtype(fmt)
     for (mode, ftz, daz), positions in groups.items():
-        if not backend.supports(op, fmt, mode, ftz, daz):
-            for pos in positions:
-                operands = plan[pos][1]
-                results[pos] = _engine_run(op, fmt, operands, mode, ftz, daz)
-            continue
+        cell_backend = (backend if backend.supports(op, fmt, mode, ftz, daz)
+                        else get_backend("scalar"))
         for start in range(0, len(positions), _ENGINE_CHUNK):
             chunk = positions[start:start + _ENGINE_CHUNK]
-            arity = len(plan[chunk[0]][1])
             lanes = [
-                np.array([plan[pos][1][slot] for pos in chunk],
-                         dtype=np.uint64)
+                np.array([evals[pos][-4][slot] for pos in chunk], dtype=dtype)
                 for slot in range(arity)
             ]
-            batch = backend.run_packed(op, fmt, lanes, mode, ftz, daz)
+            batch = cell_backend.run_packed(op, fmt, lanes, mode, ftz, daz)
             for lane, pos in enumerate(chunk):
                 results[pos] = (
                     int(batch.bits[lane]), FPFlag(int(batch.flags[lane]))
                 )
-    return results  # type: ignore[return-value]
+    return results
 
 
-def _check(
-    op: str,
-    fmt: FloatFormat,
-    operands: tuple[int, ...],
-    mode: RoundingMode,
-    ftz: bool,
-    daz: bool,
-    tininess: str,
-) -> tuple[int, Discrepancy | None]:
-    """One differential evaluation; returns (engine_bits, discrepancy)."""
-    engine_bits, engine_flags = _engine_run(op, fmt, operands, mode, ftz, daz)
-    return _check_with_engine(
-        op, fmt, operands, mode, ftz, daz, tininess,
-        engine_bits, engine_flags,
-    )
-
-
-def _check_with_engine(
+def _compare(
     op: str,
     fmt: FloatFormat,
     operands: tuple[int, ...],
@@ -197,20 +172,20 @@ def _check_with_engine(
     daz: bool,
     tininess: str,
     engine_bits: int,
-    engine_flags: object,
-) -> tuple[int, Discrepancy | None]:
-    """The oracle half of :func:`_check`, for precomputed engine results
-    (the batched-backend path computes the engine side in bulk)."""
+    engine_flags: FPFlag,
+) -> Discrepancy | None:
+    """The oracle half of one evaluation: ``None`` when the engine's
+    result bits and sticky flags match the exact oracle's."""
     cfg = OracleConfig(rounding=mode, ftz=ftz, daz=daz, tininess=tininess)
     oracle = oracle_operation(
         op, cfg, *(SoftFloat(fmt, bits) for bits in operands))
     value_ok = engine_bits == oracle.bits
     flags_ok = engine_flags == oracle.flags
     if value_ok and flags_ok:
-        return engine_bits, None
+        return None
     kind = ("both" if not value_ok and not flags_ok
             else "value" if not value_ok else "flags")
-    return engine_bits, Discrepancy(
+    return Discrepancy(
         op=op,
         fmt_name=fmt.name,
         operands=operands,
@@ -236,9 +211,12 @@ def check_case(
     daz: bool = False,
     tininess: str = "before",
 ) -> Discrepancy | None:
-    """Run one case differentially; ``None`` means engine == oracle."""
-    _, disc = _check(op, fmt, operands, mode, ftz, daz, tininess)
-    return disc
+    """Run one case differentially on the scalar reference backend;
+    ``None`` means engine == oracle."""
+    [(engine_bits, engine_flags)] = _engine_results(
+        op, fmt, [(operands, mode, ftz, daz)], get_backend("scalar"))
+    return _compare(op, fmt, operands, mode, ftz, daz, tininess,
+                    engine_bits, engine_flags)
 
 
 def _shrunk(disc: Discrepancy, fmt: FloatFormat) -> Discrepancy:
@@ -271,6 +249,7 @@ def run_conformance(
     native: bool = True,
     max_discrepancies: int = 100,
     engine_backend: str = "scalar",
+    engine=None,
 ) -> ConformanceReport:
     """Run the full differential sweep and build the report.
 
@@ -281,80 +260,88 @@ def run_conformance(
     spent.  Shrinking stops after ``max_discrepancies`` so a broken
     engine still terminates quickly.
 
-    ``engine_backend`` selects how the engine side of every evaluation
-    is computed (see :func:`repro.softfloat.get_backend`): ``"scalar"``
-    is the historical one-case-at-a-time path; ``"batch"``, ``"native"``
-    and ``"auto"`` compute the engine results in vectorized blocks and
-    then replay the same per-case differential verdicts.  The verdicts
-    are bit-identical across backends — that identity is itself covered
-    by the cross-backend differential suite.
+    ``engine_backend`` selects the softfloat backend computing the
+    engine side of every evaluation (see
+    :func:`repro.softfloat.get_backend`); the verdicts are bit-identical
+    across backends.
+
+    The sweep is one job on ``engine`` (default: an in-process
+    :class:`~repro.engine.Engine` with the result cache off).  Each op's
+    case stream is cut into :attr:`~repro.engine.Engine.shards_per_unit`
+    slices by :func:`plan_op_slices`, one ``oracle.op_slice`` shard per
+    slice; the merge absorbs per-op stats slice by slice and
+    concatenates discrepancies in (op, slice) order up to the global
+    cap, so the canonical JSON is the same at any worker count.
     """
+    from repro.engine import in_process_engine
+
+    engine = engine or in_process_engine()
     modes = tuple(modes) if modes else tuple(RoundingMode)
-    env_combos = tuple(env_combos)
+    env_combos = tuple(tuple(combo) for combo in env_combos)
     unknown = sorted(set(ops) - set(ENGINE_OPS))
     if unknown:
         raise ValueError(f"unknown ops {unknown}; choose from"
                          f" {sorted(ENGINE_OPS)}")
 
-    report = ConformanceReport(
-        fmt_name=fmt.name,
-        seed=seed,
-        budget=budget,
-        tininess=tininess,
-        rounding_modes=tuple(m.value for m in modes),
-        env_combos=env_combos,
-    )
-    matrix = tuple(itertools.product(modes, env_combos))
+    matrix_len = len(modes) * len(env_combos)
+    base_params = {
+        "format": fmt.name,
+        "budget": budget,
+        "seed": seed,
+        "modes": [m.value for m in modes],
+        "env_combos": [list(combo) for combo in env_combos],
+        "tininess": tininess,
+        "native": native,
+        "max_discrepancies": max_discrepancies,
+        "engine_backend": engine_backend,
+    }
+    param_list = []
+    slice_counts = []
+    for op in ops:
+        slices = plan_op_slices(fmt, op, budget, matrix_len,
+                                engine.shards_per_unit)
+        slice_counts.append((op, len(slices)))
+        param_list.extend(
+            {**base_params, "op": op, "case_lo": lo, "case_hi": hi}
+            for lo, hi in slices
+        )
+
+    def merge(results: list[dict]) -> ConformanceReport:
+        report = ConformanceReport(
+            fmt_name=fmt.name,
+            seed=seed,
+            budget=budget,
+            tininess=tininess,
+            rounding_modes=tuple(m.value for m in modes),
+            env_combos=env_combos,
+        )
+        shard_results = iter(results)
+        for op, n_slices in slice_counts:
+            stats = OpStats(op=op)
+            for result in itertools.islice(shard_results, n_slices):
+                stats.absorb(OpStats.from_dict(result["stats"]))
+                for payload in result["discrepancies"]:
+                    if len(report.discrepancies) < max_discrepancies:
+                        report.discrepancies.append(
+                            Discrepancy.from_dict(payload))
+            report.op_stats[op] = stats
+        return report
 
     telemetry = get_telemetry()
-    run_span = telemetry.tracer.span(
+    with telemetry.tracer.span(
         "oracle.run", format=fmt.name, budget=budget, seed=seed,
         ops=",".join(ops),
-    )
-    with run_span:
-        for op in ops:
-            _run_op(report, telemetry, op, fmt, budget, seed, matrix, tininess,
-                    native, max_discrepancies, engine_backend)
-    return report
-
-
-def _run_op(
-    report: ConformanceReport,
-    telemetry,
-    op: str,
-    fmt: FloatFormat,
-    budget: int,
-    seed: int,
-    matrix: tuple,
-    tininess: str,
-    native: bool,
-    max_discrepancies: int,
-    engine_backend: str = "scalar",
-) -> None:
-    """Drive one operation's differential loop (one ``oracle.op`` span).
-
-    When telemetry is enabled every evaluation is individually timed
-    into a latency histogram; disabled, the only cost over the original
-    loop is two clock reads per *operation* (for the JSON report's
-    wall-time/evals-per-sec fields).
-    """
-    with telemetry.tracer.span("oracle.op", op=op, format=fmt.name) as span:
-        op_started = time.perf_counter()
-        stats = OpStats(op=op)
-        report.op_stats[op] = stats
-        _drive_op_cases(
-            op, fmt, budget, seed, matrix, tininess, native,
-            stats=stats, sink=report.discrepancies,
-            sink_cap=max_discrepancies,
-            engine_backend=engine_backend,
-        )
-        stats.wall_seconds = time.perf_counter() - op_started
-        span.set("evals", stats.evals)
-        span.set("discrepancies", stats.discrepancies)
-        if telemetry.enabled:
+    ):
+        report = engine.run(spec_job(
+            f"oracle.{fmt.name}", "oracle.op_slice", param_list,
+            seed=seed, merge=merge,
+        ))
+    if telemetry.enabled:
+        for op, stats in report.op_stats.items():
             telemetry.metrics.gauge("oracle.evals_per_sec", op=op).set(
                 stats.evals_per_sec
             )
+    return report
 
 
 def _full_matrix_cases(
@@ -447,42 +434,6 @@ def plan_op_slices(
     ]
 
 
-def run_op_slice(
-    fmt: FloatFormat,
-    op: str,
-    budget: int,
-    seed: int,
-    matrix: tuple,
-    tininess: str,
-    native: bool,
-    max_discrepancies: int,
-    case_lo: int,
-    case_hi: int,
-    engine_backend: str = "scalar",
-) -> tuple[OpStats, list[Discrepancy]]:
-    """Run cases ``[case_lo, case_hi)`` of one op's differential sweep.
-
-    A pure function of its arguments: the case stream is regenerated
-    from the seed and fast-forwarded, and the shard's position in the
-    op's evaluation budget is computed in closed form — so the union
-    of disjoint slices is bit-identical to the serial sweep.  Because
-    ``engine_backend`` never changes *which* evaluations a slice
-    performs (only how the engine side is computed), batched shards
-    compose with the worker pool exactly as scalar ones do.
-    """
-    stats = OpStats(op=op)
-    sink: list[Discrepancy] = []
-    started = time.perf_counter()
-    _drive_op_cases(
-        op, fmt, budget, seed, matrix, tininess, native,
-        stats=stats, sink=sink, sink_cap=max_discrepancies,
-        case_lo=case_lo, case_hi=case_hi,
-        engine_backend=engine_backend,
-    )
-    stats.wall_seconds = time.perf_counter() - started
-    return stats, sink
-
-
 def _iter_evals(
     op: str,
     fmt: FloatFormat,
@@ -497,9 +448,7 @@ def _iter_evals(
     Each item is ``(index, first_of_case, operands, mode, ftz, daz)``
     where ``first_of_case`` marks the first evaluation of a new case
     (the per-case statistics hook).  This generator is the single
-    source of truth for combo selection and budget cutoff — the scalar
-    loop and the batched plan both consume it, which is what makes
-    their evaluation streams identical by construction.
+    source of truth for combo selection and budget cutoff.
     """
     arity = OP_ARITY[op]
     matrix_len = len(matrix)
@@ -528,35 +477,35 @@ def _iter_evals(
             first = False
 
 
-def _drive_op_cases(
-    op: str,
+def run_op_slice(
     fmt: FloatFormat,
+    op: str,
     budget: int,
     seed: int,
     matrix: tuple,
     tininess: str,
     native: bool,
-    *,
-    stats: OpStats,
-    sink: list[Discrepancy],
-    sink_cap: int,
-    case_lo: int = 0,
-    case_hi: int | None = None,
+    max_discrepancies: int,
+    case_lo: int,
+    case_hi: int | None,
     engine_backend: str = "scalar",
-) -> None:
-    """The differential loop over one op's case stream (or a slice).
+) -> tuple[OpStats, list[Discrepancy]]:
+    """Run cases ``[case_lo, case_hi)`` of one op's differential sweep
+    (one ``oracle.op`` span).
 
-    Serial runs drive ``[0, None)`` with the report's shared
-    discrepancy list as ``sink``; engine shards drive ``[lo, hi)``
-    with a private sink.  Either way the per-case behavior — combo
-    selection, budget cutoff, shrinking — depends only on the case
-    index, never on which process is executing.
+    A pure function of its arguments: the case stream is regenerated
+    from the seed and fast-forwarded, and the slice's position in the
+    op's evaluation budget is computed in closed form — so the union
+    of disjoint slices is the whole sweep, bit for bit.  The first
+    ``max_discrepancies`` discrepancies are shrunk and returned.
 
-    With a non-scalar ``engine_backend`` the engine side of every
-    evaluation is computed up front in vectorized blocks (grouped by
-    rounding/FTZ/DAZ cell), and the oracle comparison replays over the
-    precomputed results in stream order; the per-evaluation latency
-    histogram then times the oracle half only.
+    The engine side of each window of evaluations is computed through
+    the ``engine_backend`` in bulk (grouped by rounding/FTZ/DAZ cell),
+    then the oracle comparison replays the window in stream order.
+    ``engine_backend`` never changes *which* evaluations a slice
+    performs, only how the engine side is computed.  With telemetry
+    enabled each evaluation's oracle half is timed into the
+    ``oracle.eval_seconds`` histogram.
     """
     telemetry = get_telemetry()
     instrumented = telemetry.enabled
@@ -566,64 +515,84 @@ def _drive_op_cases(
     # mergeable: per-shard deltas from engine workers must fold into
     # the parent's distribution with order-independent quantiles
     latency = metrics.log_histogram("oracle.eval_seconds", op=op)
+    backend = get_backend(engine_backend)
+    check_native = native and native_supported(op, fmt)
+    stats = OpStats(op=op)
+    sink: list[Discrepancy] = []
 
-    stream = _iter_evals(op, fmt, budget, seed, matrix, case_lo, case_hi)
-    engine_results = None
-    if engine_backend != "scalar":
-        from repro.softfloat.backend import get_backend
-
-        backend = get_backend(engine_backend)
-        plan = [
-            (index, operands, mode, ftz, daz)
-            for index, _, operands, mode, ftz, daz in stream
-        ]
-        engine_results = _batched_engine_results(op, fmt, plan, backend)
+    with telemetry.tracer.span("oracle.op", op=op, format=fmt.name) as span:
+        started = time.perf_counter()
         stream = _iter_evals(op, fmt, budget, seed, matrix, case_lo, case_hi)
+        # Hot-loop bindings: the per-eval instrumented cost is two clock
+        # reads and one histogram observation; the eval counter is a
+        # local integer flushed once after the loop (the registry value
+        # is only read at snapshot/capture time, so batching is
+        # invisible).
+        clock = time.perf_counter
+        observe_latency = latency.observe
+        evals_done = 0
+        while window := list(itertools.islice(stream, _EVAL_WINDOW)):
+            engine_side = _engine_results(op, fmt, window, backend)
+            for (_, first, operands, mode, ftz, daz), (engine_bits,
+                                                        engine_flags) in zip(
+                    window, engine_side):
+                if first:
+                    stats.cases += 1
+                stats.evals += 1
+                if instrumented:
+                    check_started = clock()
+                disc = _compare(op, fmt, operands, mode, ftz, daz, tininess,
+                                engine_bits, engine_flags)
+                if instrumented:
+                    observe_latency(clock() - check_started)
+                    evals_done += 1
+                if disc is None:
+                    stats.value_agree += 1
+                    stats.flag_agree += 1
+                else:
+                    stats.discrepancies += 1
+                    discrepancies_total.inc()
+                    if disc.kind == "flags":
+                        stats.value_agree += 1
+                    elif disc.kind == "value":
+                        stats.flag_agree += 1
+                    if len(sink) < max_discrepancies:
+                        sink.append(_shrunk(disc, fmt))
+                # Native third opinion under the hardware-default env.
+                if (check_native and not ftz and not daz
+                        and mode is RoundingMode.NEAREST_EVEN):
+                    native_bits = native_result_bits(op, fmt, operands)
+                    if native_bits is not None:
+                        stats.native_evals += 1
+                        if native_agrees(fmt, native_bits, engine_bits):
+                            stats.native_agree += 1
+        if evals_done:
+            evals_total.inc(evals_done)
+        stats.wall_seconds = time.perf_counter() - started
+        span.set("evals", stats.evals)
+        span.set("discrepancies", stats.discrepancies)
+    return stats, sink
 
-    # Hot-loop bindings: the per-eval instrumented cost is two clock
-    # reads and one histogram observation; the eval counter is a local
-    # integer flushed once after the loop (the registry value is only
-    # read at snapshot/capture time, so batching is invisible).
-    clock = time.perf_counter
-    observe_latency = latency.observe
-    evals_done = 0
-    for pos, (index, first, operands, mode, ftz, daz) in enumerate(stream):
-        if first:
-            stats.cases += 1
-        stats.evals += 1
-        if instrumented:
-            check_started = clock()
-        if engine_results is None:
-            engine_bits, disc = _check(
-                op, fmt, operands, mode, ftz, daz, tininess)
-        else:
-            engine_bits, engine_flags = engine_results[pos]
-            engine_bits, disc = _check_with_engine(
-                op, fmt, operands, mode, ftz, daz, tininess,
-                engine_bits, engine_flags)
-        if instrumented:
-            observe_latency(clock() - check_started)
-            evals_done += 1
-        if disc is None:
-            stats.value_agree += 1
-            stats.flag_agree += 1
-        else:
-            stats.discrepancies += 1
-            discrepancies_total.inc()
-            if disc.kind == "flags":
-                stats.value_agree += 1
-            elif disc.kind == "value":
-                stats.flag_agree += 1
-            if len(sink) < sink_cap:
-                sink.append(_shrunk(disc, fmt))
-        # Native third opinion under the hardware-default env.
-        if (native and not ftz and not daz
-                and mode is RoundingMode.NEAREST_EVEN
-                and native_supported(op, fmt)):
-            native_bits = native_result_bits(op, fmt, operands)
-            if native_bits is not None:
-                stats.native_evals += 1
-                if native_agrees(fmt, native_bits, engine_bits):
-                    stats.native_agree += 1
-    if evals_done:
-        evals_total.inc(evals_done)
+
+@task("oracle.op_slice")
+def _op_slice_task(params: dict, ctx) -> dict:
+    """Engine task: cases ``[case_lo, case_hi)`` of one op's sweep."""
+    modes = tuple(RoundingMode(v) for v in params["modes"])
+    env_combos = tuple((ftz, daz) for ftz, daz in params["env_combos"])
+    stats, discrepancies = run_op_slice(
+        FORMATS_BY_NAME[params["format"]],
+        params["op"],
+        params["budget"],
+        params["seed"],
+        tuple(itertools.product(modes, env_combos)),
+        params["tininess"],
+        params["native"],
+        params["max_discrepancies"],
+        params["case_lo"],
+        params["case_hi"],
+        engine_backend=params.get("engine_backend", "scalar"),
+    )
+    return {
+        "stats": stats.to_dict(),
+        "discrepancies": [d.to_dict() for d in discrepancies],
+    }

@@ -33,7 +33,7 @@ import time
 from typing import Any
 
 from repro.engine.engine import Engine
-from repro.engine.tasks import Job, Shard, TaskSpec, derive_seed
+from repro.engine.tasks import spec_job
 from repro.telemetry import get_telemetry
 
 __all__ = ["MicroBatcher", "JobCoalescer", "BatchStats"]
@@ -243,17 +243,10 @@ class JobCoalescer(_BatcherBase):
         metrics.gauge("service.job_fill_ratio").set(
             len(pending.payloads) / self.max_jobs if self.max_jobs else 0.0
         )
-        shards = tuple(
-            Shard(
-                index=index,
-                spec=(spec := TaskSpec(task=task_name, params=params)),
-                # spec-addressed, not position-addressed: the cache key
-                # must not depend on who else rode this batch
-                seed=derive_seed(self.seed, task_name, spec.canonical()),
-            )
-            for index, params in enumerate(pending.payloads)
-        )
-        job = Job(name=f"service.{task_name}", shards=shards, merge=None)
+        # spec-addressed, not position-addressed: the cache key must not
+        # depend on who else rode this batch
+        job = spec_job(f"service.{task_name}", task_name, pending.payloads,
+                       seed=self.seed)
         try:
             results = await asyncio.to_thread(self.engine.run, job)
         except Exception as exc:

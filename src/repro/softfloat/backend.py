@@ -58,6 +58,7 @@ __all__ = [
     "SoftFloatBackend",
     "ScalarBackend",
     "AutoBackend",
+    "lane_dtype",
     "available_backends",
     "get_backend",
 ]
@@ -167,11 +168,19 @@ class SoftFloatBackend(abc.ABC):
         return np.asarray(list(values), dtype=np.uint64)
 
 
+def lane_dtype(*fmts: FloatFormat | None):
+    """The array dtype that holds packed encodings of ``fmts``:
+    ``uint64`` up to 64 bits, Python ints (``object``) beyond."""
+    widest = max(f.width for f in fmts if f is not None)
+    return np.uint64 if widest <= 64 else object
+
+
 class ScalarBackend(SoftFloatBackend):
     """Reference backend: the existing per-value ops, looped.
 
     Supports every operation and format; other backends are tested (and
-    defined) against it.
+    defined) against it.  Formats wider than 64 bits (binary128) travel
+    as ``object`` lanes (see :func:`lane_dtype`).
     """
 
     name = "scalar"
@@ -199,11 +208,12 @@ class ScalarBackend(SoftFloatBackend):
         daz: bool,
         dst_fmt: FloatFormat | None = None,
     ) -> BatchResult:
-        arrays = [np.asarray(o, dtype=np.uint64) for o in operands]
+        lane_type = lane_dtype(fmt, dst_fmt)
+        arrays = [np.asarray(o, dtype=lane_type) for o in operands]
         if len(arrays) != BACKEND_OP_ARITY.get(op, -1):
             raise ValueError(f"{op} expects {BACKEND_OP_ARITY.get(op)} operands")
         n = int(arrays[0].shape[0])
-        bits_out = np.zeros(n, dtype=np.uint64)
+        bits_out = np.zeros(n, dtype=lane_type)
         flags_out = np.zeros(n, dtype=np.uint8)
 
         if op in ("compare_quiet", "compare_signaling"):

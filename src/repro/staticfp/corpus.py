@@ -17,6 +17,7 @@ import dataclasses
 import json
 from pathlib import Path
 
+from repro.engine.tasks import spec_job, split_evenly, task
 from repro.optsim.machine import MachineConfig, optimization_level
 from repro.staticfp.lints import LintReport, lint
 
@@ -136,9 +137,9 @@ def run_entry(entry: CorpusEntry) -> LintReport:
 def entry_outcome(entry: CorpusEntry) -> dict:
     """Lint one entry down to its JSON-able verdict.
 
-    This is the per-entry unit of work a sharded corpus sweep ships
-    back: everything :func:`precision_summary` and :func:`check_golden`
-    need, nothing engine-specific.
+    This is the per-entry unit of work a corpus shard ships back:
+    everything :func:`precision_summary` and :func:`check_golden` need,
+    nothing engine-specific.
     """
     report = run_entry(entry)
     return {
@@ -158,11 +159,41 @@ def run_corpus() -> dict[str, LintReport]:
     }
 
 
-def corpus_outcomes() -> dict[str, dict]:
-    """Serial equivalent of a sharded sweep: every entry's outcome."""
+@task("staticfp.lint_entries")
+def _lint_entries_task(params: dict, ctx) -> dict:
+    """Engine task: lint a batch of corpus entries down to outcomes."""
     return {
-        e.key: entry_outcome(e) for e in GOTCHA_CORPUS + CLEAN_CORPUS
+        key: entry_outcome(entry_by_key(key)) for key in params["keys"]
     }
+
+
+def corpus_outcomes(engine=None) -> dict[str, dict]:
+    """Every corpus entry's outcome, keyed by entry key.
+
+    One job on ``engine`` (default: an in-process
+    :class:`~repro.engine.Engine` with the result cache off), the keys
+    cut into :attr:`~repro.engine.Engine.shards_per_unit` batches.
+    Entries are independent, so the merge is a keyed union.
+    """
+    from repro.engine import in_process_engine
+
+    engine = engine or in_process_engine()
+    keys = [e.key for e in GOTCHA_CORPUS + CLEAN_CORPUS]
+    param_list = [
+        {"keys": keys[lo:hi]}
+        for lo, hi in split_evenly(len(keys), engine.shards_per_unit)
+    ]
+
+    def merge(results: list[dict]) -> dict[str, dict]:
+        outcomes: dict[str, dict] = {}
+        for batch in results:
+            outcomes.update(batch)
+        return outcomes
+
+    return engine.run(spec_job(
+        "staticfp.corpus", "staticfp.lint_entries", param_list,
+        seed=0, merge=merge,
+    ))
 
 
 def precision_summary(outcomes: dict[str, dict] | None = None) -> dict:
@@ -171,8 +202,7 @@ def precision_summary(outcomes: dict[str, dict] | None = None) -> dict:
     ``detected``: gotcha entries whose expected quiz id appears in the
     diagnostics.  ``false_positives``: clean entries that raised any
     warning-or-worse diagnostic.  Pass precomputed ``outcomes`` (from
-    :func:`corpus_outcomes` or a sharded sweep) to summarize without
-    re-linting.
+    :func:`corpus_outcomes`) to summarize without re-linting.
     """
     if outcomes is None:
         outcomes = corpus_outcomes()

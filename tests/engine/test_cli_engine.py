@@ -79,6 +79,15 @@ class TestParallelFlags:
         capsys.readouterr()
         assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_serial_oracle_run_creates_no_cache_file(self, capsys, tmp_path,
+                                                     monkeypatch):
+        cache = tmp_path / "engine-cache.jsonl"
+        monkeypatch.setenv("REPRO_ENGINE_CACHE", str(cache))
+        assert main(["oracle", "run", "--format", "binary16", "--ops",
+                     "add", "--budget", "300"]) == 0
+        assert not cache.exists()
+        assert "engine:" not in capsys.readouterr().out
+
     def test_oracle_parallel_rerun_hits_cache(self, capsys, tmp_path):
         cache = tmp_path / "c.jsonl"
         argv = ["oracle", "run", "--format", "binary16", "--ops", "add",

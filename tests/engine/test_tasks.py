@@ -1,5 +1,11 @@
 """Job model: seed derivation, canonical specs, the task registry."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.engine import (
@@ -68,9 +74,42 @@ class TestRegistry:
         names = registered_tasks()
         assert "oracle.op_slice" in names
         assert "study.simulate_slice" in names
-        assert "optsim.divergence_slice" in names
         assert "staticfp.lint_entries" in names
         assert "engine.test.crash_once" in names
+
+    def test_concurrent_cold_start_lookups_all_succeed(self):
+        """The first lookups in a fresh interpreter race the task-module
+        imports; every one must see the full registry."""
+        script = textwrap.dedent("""
+            import threading
+            from repro.engine.tasks import get_task
+
+            barrier = threading.Barrier(8)
+            errors = []
+
+            def lookup():
+                barrier.wait()
+                try:
+                    get_task("oracle.op_slice")
+                except Exception as exc:
+                    errors.append(repr(exc))
+
+            threads = [threading.Thread(target=lookup) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            print(len(errors))
+            for error in errors:
+                print(error)
+        """)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        ).stdout
+        assert out.splitlines()[0] == "0", out
 
     def test_unknown_task_raises(self):
         with pytest.raises(EngineError, match="unknown task"):

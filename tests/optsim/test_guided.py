@@ -17,7 +17,7 @@ from repro.optsim import (
     optimize,
     parse_expr,
 )
-from repro.optsim.guided import FlowCoverage, sweep_regions, sweep_slice
+from repro.optsim.guided import FlowCoverage
 from repro.softfloat import TINY8, SoftFloat, sf
 from repro.staticfp.regions import (
     BitRegion,
@@ -220,23 +220,6 @@ class TestExhaustiveSweep:
         optimized = optimize(expr, O2)
         with pytest.raises(ValueError):
             exhaustive_sweep(expr, optimized, O2, max_states=1000)
-
-    def test_slices_partition_the_serial_sweep(self):
-        expr = parse_expr("a*b + c")
-        optimized = optimize(expr, TINY_O3)
-        serial = exhaustive_sweep(expr, optimized, TINY_O3)
-        regions = sweep_regions(expr, optimized, TINY_O3)
-        region_dicts = {n: r.to_dict() for n, r in regions.items()}
-        total = serial.states
-        cut = total // 3
-        hits = []
-        for lo, hi in ((0, cut), (cut, 2 * cut), (2 * cut, total)):
-            out = sweep_slice(
-                "a*b + c", "-O3", region_dicts, lo, hi, fmt="tiny8"
-            )
-            if out["index"] is not None:
-                hits.append(out["index"])
-        assert min(hits) == serial.found_index
 
 
 class TestEvaluateLanes:

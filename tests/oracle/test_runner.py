@@ -21,7 +21,7 @@ from repro.oracle import (
 )
 from repro.oracle.shrink import shrink_case, simplicity_key
 from repro.softfloat import BINARY16, BINARY32, SoftFloat
-from repro.softfloat.formats import TINY8
+from repro.softfloat.formats import BINARY128, TINY8
 
 RNE = RoundingMode.NEAREST_EVEN
 
@@ -135,6 +135,16 @@ class TestRunConformance:
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError, match="unknown ops"):
             run_conformance(TINY8, ["cbrt"], budget=10)
+
+    def test_binary128_identical_across_backends(self):
+        """128-bit lanes run on the scalar backend whatever is asked."""
+        reports = [
+            run_conformance(BINARY128, ["add", "fma"], budget=120, seed=5,
+                            engine_backend=backend)
+            for backend in ("scalar", "batch", "auto")
+        ]
+        assert reports[0].clean and reports[0].total_evals == 240
+        assert len({r.canonical_json() for r in reports}) == 1
 
     def test_native_third_opinion_runs_on_binary32(self):
         report = run_conformance(BINARY32, ["add"], budget=600, seed=3)
