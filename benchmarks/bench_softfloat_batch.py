@@ -3,9 +3,11 @@
 The batched-backend acceptance bar from the issue is measured here:
 
 1. **Speedup** — the numpy batch backend sustains >= 10x the scalar
-   backend's engine evaluations per second at batch sizes >= 4096
-   (asserted unconditionally; the bit-twiddled kernels beat a Python
-   per-lane loop by a wide margin on any hardware).
+   backend's engine evaluations per second at batch sizes >= 4096, on
+   every binary16 cell and on the binary64 mul/div/fma/sqrt cells the
+   two-limb kernels serve (asserted unconditionally; the bit-twiddled
+   kernels beat a Python per-lane loop by a wide margin on any
+   hardware).
 2. **Bit-identity under batching** — ``run_conformance`` driven with
    ``engine_backend="batch"`` emits canonical JSON byte-identical to
    the scalar run (asserted unconditionally).  Speed without identity
@@ -30,9 +32,14 @@ import numpy as np
 from repro.fpenv.rounding import RoundingMode
 from repro.oracle import FORMATS_BY_NAME
 from repro.oracle.runner import run_conformance
-from repro.softfloat import BINARY16, ScalarBackend, get_backend
+from repro.softfloat import BINARY16, BINARY64, ScalarBackend, get_backend
 
 BENCH_OPS = ["add", "mul", "div", "sqrt"]
+#: (format, op) cells timed per batch size; the conformance sweep below
+#: stays on binary16 and ``BENCH_OPS``.
+BENCH_CELLS = [(BINARY16, op) for op in BENCH_OPS] + [
+    (BINARY64, op) for op in ("mul", "div", "fma", "sqrt")
+]
 BATCH_SIZES = [256, 1024, 4096, 16384]
 SPEEDUP_FLOOR = 10.0
 SPEEDUP_FLOOR_AT = 4096
@@ -42,22 +49,22 @@ BENCH_SEED = 754
 RNE = RoundingMode.NEAREST_EVEN
 
 
-def _lanes(op: str, size: int, seed: int) -> list[np.ndarray]:
+def _lanes(fmt, op: str, size: int, seed: int) -> list[np.ndarray]:
     rng = np.random.default_rng(seed)
-    arity = 1 if op == "sqrt" else 2
-    mask = (1 << BINARY16.width) - 1
+    arity = {"sqrt": 1, "fma": 3}.get(op, 2)
+    mask = (1 << fmt.width) - 1
     return [rng.integers(0, mask + 1, size=size, dtype=np.uint64)
             for _ in range(arity)]
 
 
-def _best_rate(backend, op: str, lanes, *, repeats: int = 3) -> float:
+def _best_rate(backend, fmt, op: str, lanes, *, repeats: int = 3) -> float:
     """Best-of-N lanes/sec for one packed call (first call warms any
     lazily built tables)."""
-    backend.run_packed(op, BINARY16, lanes, RNE, False, False)
+    backend.run_packed(op, fmt, lanes, RNE, False, False)
     best = float("inf")
     for _ in range(repeats):
         started = time.perf_counter()
-        backend.run_packed(op, BINARY16, lanes, RNE, False, False)
+        backend.run_packed(op, fmt, lanes, RNE, False, False)
         best = min(best, time.perf_counter() - started)
     return lanes[0].shape[0] / best
 
@@ -69,11 +76,11 @@ def measure() -> dict:
     throughput: dict[str, dict] = {}
     for size in BATCH_SIZES:
         per_op = {}
-        for op in BENCH_OPS:
-            lanes = _lanes(op, size, BENCH_SEED)
-            scalar_rate = _best_rate(scalar, op, lanes)
-            batch_rate = _best_rate(batch, op, lanes)
-            per_op[op] = {
+        for fmt, op in BENCH_CELLS:
+            lanes = _lanes(fmt, op, size, BENCH_SEED)
+            scalar_rate = _best_rate(scalar, fmt, op, lanes)
+            batch_rate = _best_rate(batch, fmt, op, lanes)
+            per_op[f"{fmt.name}.{op}"] = {
                 "scalar_evals_per_sec": round(scalar_rate),
                 "batch_evals_per_sec": round(batch_rate),
                 "speedup": round(batch_rate / scalar_rate, 2),
@@ -96,6 +103,7 @@ def measure() -> dict:
     return {
         "format": "binary16",
         "ops": BENCH_OPS,
+        "cells": [f"{fmt.name}.{op}" for fmt, op in BENCH_CELLS],
         "batch_sizes": BATCH_SIZES,
         "seed": BENCH_SEED,
         "speedup_floor": SPEEDUP_FLOOR,
@@ -140,7 +148,7 @@ def test_batch_bench_acceptance():
 def test_batch_add_throughput(benchmark):
     """Raw packed-add rate at the acceptance batch size."""
     batch = get_backend("batch")
-    lanes = _lanes("add", SPEEDUP_FLOOR_AT, BENCH_SEED)
+    lanes = _lanes(BINARY16, "add", SPEEDUP_FLOOR_AT, BENCH_SEED)
     batch.run_packed("add", BINARY16, lanes, RNE, False, False)
     benchmark(batch.run_packed, "add", BINARY16, lanes, RNE, False, False)
 

@@ -46,6 +46,7 @@ from repro.softfloat.fma import SCALAR_KERNELS as _FMA_KERNELS
 from repro.softfloat.formats import FloatFormat
 from repro.softfloat.sqrt import SCALAR_KERNELS as _SQRT_KERNELS
 from repro.softfloat.value import SoftFloat
+from repro.telemetry.runtime import get_telemetry
 
 __all__ = [
     "BACKEND_OPS",
@@ -246,7 +247,12 @@ class ScalarBackend(SoftFloatBackend):
 
 class AutoBackend(SoftFloatBackend):
     """Per-call dispatch: native where provably safe, else batch, else
-    the scalar reference.  Always supports everything the scalar does."""
+    the scalar reference.  Always supports everything the scalar does.
+
+    With telemetry enabled, each call counts its lanes under
+    ``softfloat.lanes_total{op,format,backend}`` (the tier that served
+    them).
+    """
 
     name = "auto"
 
@@ -294,6 +300,12 @@ class AutoBackend(SoftFloatBackend):
         dst_fmt: FloatFormat | None = None,
     ) -> BatchResult:
         backend = self.select(op, fmt, mode, ftz, daz, dst_fmt)
+        telemetry = get_telemetry()
+        if telemetry.enabled:
+            telemetry.metrics.counter(
+                "softfloat.lanes_total", op=op, format=fmt.name,
+                backend=backend.name,
+            ).inc(len(operands[0]))
         return backend.run_packed(op, fmt, operands, mode, ftz, daz, dst_fmt)
 
 

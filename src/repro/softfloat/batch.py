@@ -9,29 +9,51 @@ via :meth:`BatchBackend.supports`; the differential suite in
 ``tests/softfloat/test_backends.py`` pins this against the exact
 oracle.
 
-Width bounds (why ``supports`` gates on precision)
---------------------------------------------------
-All lane arithmetic runs in ``uint64``/``int64``, so every intermediate
-must fit in 63 bits with its round/sticky structure intact:
+Width bounds (why ``supports`` stops at ``precision <= 53``)
+-----------------------------------------------------------
+Lane arithmetic runs in ``uint64``/``int64``; a value wider than one
+lane travels as two limbs, ``hi * 2**64 + lo``.  Every kernel forms its
+exact result (or that result truncated, plus a sticky bit) and narrows
+it with :func:`_narrow` to a significand of at most 60 bits, folding
+the dropped bits into sticky, before the one rounding path,
+:func:`_round_pack`.  Narrowing is sound because a ``p <= 53`` result
+needs only its top ``p + 1`` bits plus sticky.
 
-- *add/sub* (``precision <= 53``): operands are aligned into a shared
-  granularity window ``g = max(min(e1, e2), M - 57)`` where ``M`` is the
-  larger operand's MSB exponent.  Each aligned magnitude then spans at
-  most 58 bits and the signed sum fits ``int64``.  Discarding below the
-  window is sound: bits are only lost when the granularities differ by
-  more than 57, in which case the non-dominant operand is below
-  ``2**(M-4)``, the sum keeps its MSB at ``M`` or ``M-1``, and the
-  result's round bit sits at least 3 bits above the window floor — the
-  discarded amount is pure sticky.  A lost amount on the side opposite
-  the result's sign turns into a borrow (``mag -= 1``) plus sticky.
-- *mul* (``precision <= 28``): the full significand product spans at
-  most ``2p <= 56`` bits — exact.
-- *div/fma* (``precision <= 27``): the scaled quotient spans at most
-  ``2p + 3 <= 57`` bits; the fma product at most ``2p <= 54`` bits and
-  then rides the add/sub window machinery.
-- *sqrt* (``precision <= 24``): the scaled radicand spans at most
-  ``2p + 5 <= 53`` bits, so ``float64`` square root plus a two-step
-  integer fix-up recovers the exact integer root.
+- *mul*: the product of two ``p``-bit significands is formed exactly
+  in two limbs from 32-bit halves (:func:`_mul_wide`, at most 106 bits).
+- *div*: both significands are normalized to ``p`` bits, then a
+  lane-parallel long division yields ``floor(m1 * 2**(p+3) / m2)``
+  (``p + 3`` or ``p + 4`` bits) with the remainder's nonzero-ness as
+  sticky.  Each ``uint64 //`` step brings down ``64 - p`` quotient bits,
+  so the shifted remainder (below the ``p``-bit divisor) fits a lane.
+- *sqrt*: the significand is normalized to ``p`` bits and scaled by
+  ``2**(p+4)`` or ``2**(p+5)``, whichever leaves an even exponent: a
+  radicand ``N`` of ``2p + 4`` or ``2p + 5`` bits.  ``np.sqrt`` of ``N``
+  (exactly representable: a ``p``-bit integer times a power of two)
+  only *proposes* a root ``r`` within 9 of ``sqrt(N)`` under any host
+  rounding mode.  Integers decide: ``N - r*r`` is then below ``2**62``
+  in magnitude, so its wrapped ``uint64`` difference read as ``int64``
+  is exact even though ``N`` spans two limbs.  One integer Newton step
+  ``r + (N - r*r) // (2r)`` lands on ``floor(sqrt(N))`` or one above it
+  (Newton never undershoots, and overshoots by ``(r - sqrt N)**2 / 2r <
+  1``), and the sign of the new remainder picks which.
+- *add/sub/fma*: :func:`_signed_sum` adds a two-limb operand (the
+  product for fma, a significand for add/sub) and a one-limb
+  significand.  Both are aligned into a shared granularity window
+  ``g = max(min(e1, e2), M - 116)``, where ``M`` is the larger
+  operand's MSB exponent, so each aligned magnitude lies below
+  ``2**117`` and the sum below ``2**118``.  Discarding below the window
+  is sound.  The dominant operand spans at most 106 bits, so its floor
+  is above ``M - 116`` and it keeps every bit.  The other operand loses
+  bits only when its floor is below ``M - 116``; spanning at most 106
+  bits, it then lies below ``2**(M-11)``.  The sum keeps its MSB within
+  one of ``M``, so the result's round bit sits far above the window
+  floor and the discarded amount is pure sticky.  A lost amount on the
+  side opposite the result's sign (the dominant operand's) is a borrow:
+  ``|L*2^g - (S*2^g + d)| = (L-S-1)*2^g + (2^g - d)``, so the magnitude
+  drops by one and sticky is set.  An fma whose addend lies far below
+  the product thus rounds as the product plus sticky, and an fma with
+  ``c = -a*b`` cancels exactly to zero (nothing is lost).
 
 The vectorized :func:`_round_pack` mirrors ``round_and_pack`` branch for
 branch (tininess before rounding, underflow only when tiny *and*
@@ -41,6 +63,7 @@ masked via safe substitute values.
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Sequence
 
 import numpy as np
@@ -69,18 +92,23 @@ F_UNDERFLOW = np.uint8(FPFlag.UNDERFLOW.value)
 F_INEXACT = np.uint8(FPFlag.INEXACT.value)
 F_DENORMAL = np.uint8(FPFlag.DENORMAL_RESULT.value)
 
+_LO32 = U64(0xFFFFFFFF)
+
+#: Alignment window of :func:`_signed_sum` (see the module docstring).
+_WINDOW = 116
+
 
 # ----------------------------------------------------------------------
 # Integer lane primitives
 # ----------------------------------------------------------------------
 def _bit_length(x: np.ndarray) -> np.ndarray:
-    """Per-lane ``int.bit_length`` for uint64 values below ``2**63``.
+    """Per-lane ``int.bit_length`` of uint64 lanes.
 
     Exact by construction: each 32-bit half converts to float64 without
     rounding, and ``frexp``'s exponent *is* the bit length.
     """
     hi = (x >> 32).astype(np.float64)
-    lo = (x & U64(0xFFFFFFFF)).astype(np.float64)
+    lo = (x & _LO32).astype(np.float64)
     _, ehi = np.frexp(hi)
     _, elo = np.frexp(lo)
     return np.where(hi > 0, ehi.astype(I64) + 32, elo.astype(I64))
@@ -89,16 +117,85 @@ def _bit_length(x: np.ndarray) -> np.ndarray:
 def _shl(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     """``x << k`` with ``k`` clamped into [0, 63] (callers bound live
     lanes; dead lanes may wrap harmlessly)."""
-    return x << np.clip(k, 0, 63).astype(U64)
+    return x << np.minimum(np.maximum(k, 0), 63).astype(U64)
 
 
-def _shr_sticky(x: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(x >> k, any bits lost)`` — exact for ``x < 2**62`` with the
-    shift clamped at 62 (a clamped lane keeps all of ``x`` as sticky)."""
-    kc = np.clip(k, 0, 62).astype(U64)
-    kept = x >> kc
-    lost = (x & ((U64(1) << kc) - U64(1))) != 0
-    return kept, lost
+def _mul_wide(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact two-limb product ``(hi, lo)`` of uint64 lanes below ``2**63``.
+
+    Built from 32-bit halves: every partial product fits a lane, and the
+    middle column sums below ``3 * 2**32``.
+    """
+    xh, xl = x >> U64(32), x & _LO32
+    yh, yl = y >> U64(32), y & _LO32
+    low = xl * yl
+    cross1 = xh * yl
+    cross2 = xl * yh
+    mid = (low >> U64(32)) + (cross1 & _LO32) + (cross2 & _LO32)
+    lo = (mid << U64(32)) | (low & _LO32)
+    hi = xh * yh + (cross1 >> U64(32)) + (cross2 >> U64(32)) + (mid >> U64(32))
+    return hi, lo
+
+
+def _width2(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Per-lane bit length of a two-limb value."""
+    top = hi > 0
+    return _bit_length(np.where(top, hi, lo)) + (top.astype(I64) << 6)
+
+
+def _shl2(
+    hi: np.ndarray, lo: np.ndarray, k: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two-limb ``(hi, lo) << k`` for ``k`` in [0, 127] (callers keep
+    live results below ``2**128``)."""
+    k = np.minimum(k, 127).astype(U64)
+    ks = k & U64(63)
+    up_hi = (hi << ks) | ((lo >> U64(1)) >> (U64(63) - ks))
+    up_lo = lo << ks
+    wide = k >= U64(64)
+    return np.where(wide, up_lo, up_hi), np.where(wide, U64(0), up_lo)
+
+
+def _shr2_sticky(
+    hi: np.ndarray, lo: np.ndarray, k: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two-limb ``((hi, lo) >> k, any bits lost)`` for ``k >= 0``; a
+    shift of 128 or more keeps nothing."""
+    k = np.minimum(k, 128).astype(U64)
+    ks = k & U64(63)
+    below = (U64(1) << ks) - U64(1)
+    dn_hi = hi >> ks
+    dn_lo = (lo >> ks) | ((hi << U64(1)) << (U64(63) - ks))
+    wide = k >= U64(64)
+    gone = k >= U64(128)
+    lost = np.where(
+        wide, (lo != 0) | ((hi & below) != 0), (lo & below) != 0
+    )
+    lost = np.where(gone, (hi | lo) != 0, lost)
+    new_hi = np.where(wide, U64(0), dn_hi)
+    new_lo = np.where(gone, U64(0), np.where(wide, dn_hi, dn_lo))
+    return new_hi, new_lo, lost
+
+
+def _narrow(
+    hi: np.ndarray, lo: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Narrow a two-limb magnitude below ``2**123`` to ``(mant, shift,
+    sticky)``: ``mant = x >> shift`` has at most 60 bits and ``sticky``
+    says whether the shift dropped anything."""
+    shift = np.maximum(_width2(hi, lo) - 60, 0)
+    k = shift.astype(U64)  # at most 63
+    mant = (lo >> k) | ((hi << U64(1)) << (U64(63) - k))
+    sticky = (lo & ((U64(1) << k) - U64(1))) != 0
+    return mant, shift, sticky
+
+
+def _normalize(
+    fmt: FloatFormat, mant: np.ndarray, exp2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Shift nonzero significands so their MSB sits at bit ``p - 1``."""
+    up = fmt.precision - _bit_length(mant)
+    return _shl(mant, up), exp2 - up
 
 
 def _rounds_away(
@@ -218,6 +315,17 @@ def _round_pack(
     return bits, flags
 
 
+def _select(
+    condlist: Sequence[np.ndarray], choicelist: Sequence, default: np.ndarray
+) -> np.ndarray:
+    """``np.select`` as a chain of ``np.where`` (the first true condition
+    wins) without ``np.select``'s fixed per-call cost."""
+    out = default
+    for cond, choice in zip(reversed(condlist), reversed(choicelist)):
+        out = np.where(cond, choice, out)
+    return out
+
+
 # ----------------------------------------------------------------------
 # Operand decomposition
 # ----------------------------------------------------------------------
@@ -241,8 +349,12 @@ class _Lanes:
 
 def _daz(fmt: FloatFormat, lanes: _Lanes) -> _Lanes:
     """Denormals-are-zero: flush subnormal lanes to signed zero."""
-    bits = np.where(lanes.sub, lanes.sign << U64(fmt.width - 1), lanes.bits)
-    return _Lanes(fmt, bits)
+    flushed = copy.copy(lanes)
+    flushed.bits = np.where(lanes.sub, lanes.sign << U64(fmt.width - 1), lanes.bits)
+    flushed.frac = np.where(lanes.sub, U64(0), lanes.frac)
+    flushed.zero = lanes.zero | lanes.sub
+    flushed.sub = np.zeros_like(lanes.sub)
+    return flushed
 
 
 def _sig_value(fmt: FloatFormat, lanes: _Lanes) -> tuple[np.ndarray, np.ndarray]:
@@ -278,7 +390,8 @@ def _nan_propagation(
 
 
 def _signed_sum(
-    m1: np.ndarray,
+    h1: np.ndarray,
+    l1: np.ndarray,
     e1: np.ndarray,
     s1: np.ndarray,
     m2: np.ndarray,
@@ -286,49 +399,65 @@ def _signed_sum(
     s2: np.ndarray,
     live: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Windowed exact signed sum of two (mant, exp2, sign) lane triples.
+    """Windowed exact signed sum of a two-limb ``(h1, l1) * 2**e1`` and a
+    one-limb ``m2 * 2**e2``, each with its sign lane.
 
-    Returns ``(is_zero, sign, mag, exp, sticky)``.  ``m1`` must be
-    positive on live lanes; ``m2`` may be zero (the lane then reduces to
-    operand 1).  See the module docstring for the window bound.
+    Returns ``(is_zero, sign, mant, exp, sticky)`` with ``mant`` narrowed
+    to at most 60 bits.  Operand 1 must be nonzero on live lanes;
+    ``m2`` may be zero (the lane then reduces to operand 1).  See the
+    module docstring for the window bound.
     """
-    m1 = np.where(live, m1, U64(1))
+    h1 = np.where(live, h1, U64(0))
+    l1 = np.where(live, l1, U64(1))
     has2 = live & (m2 > 0)
-    m2s = np.where(has2, m2, U64(1))
+    m2 = np.where(has2, m2, U64(0))
+    msb1 = e1 + _width2(h1, l1) - 1
+    msb2 = np.where(has2, e2 + _bit_length(m2) - 1, I64(-(1 << 40)))
+    e2 = np.where(has2, e2, e1)
+    floor_lo = np.minimum(e1, e2)
+    g = np.maximum(floor_lo, np.maximum(msb1, msb2) - _WINDOW)
 
-    bl1 = _bit_length(m1)
-    bl2 = _bit_length(m2s)
-    msb1 = e1 + bl1 - 1
-    msb2 = np.where(has2, e2 + bl2 - 1, I64(-(1 << 40)))
-    big = np.maximum(msb1, msb2)
-    floor_exp = np.where(has2, np.minimum(e1, e2), e1)
-    g = np.maximum(floor_exp, big - 57)
+    # The operand with the lower floor shifts right by `g - floor` and
+    # may lose bits; the other shifts left by `floor - g`, which is in
+    # [0, _WINDOW] because the dominant operand spans at most 106 bits.
+    first_lo = e1 <= e2
+    zero = np.zeros_like(m2)
+    ch, cl, lost = _shr2_sticky(
+        np.where(first_lo, h1, zero), np.where(first_lo, l1, m2), g - floor_lo
+    )
+    uh, ul = _shl2(
+        np.where(first_lo, zero, h1),
+        np.where(first_lo, m2, l1),
+        np.maximum(e1, e2) - g,
+    )
+    s_cut = np.where(first_lo, s1, s2)
+    s_up = np.where(first_lo, s2, s1)
 
-    sh1 = e1 - g
-    a1_r, lost1_r = _shr_sticky(m1, -sh1)
-    a1 = np.where(sh1 >= 0, _shl(m1, sh1), a1_r)
-    lost1 = np.where(sh1 >= 0, False, lost1_r)
+    same = s_cut == s_up
+    up_ge = (uh > ch) | ((uh == ch) & (ul >= cl))
+    sum_lo = ul + cl
+    sum_hi = uh + ch + (sum_lo < ul)
+    big_h = np.where(up_ge, uh, ch)
+    big_l = np.where(up_ge, ul, cl)
+    small_h = np.where(up_ge, ch, uh)
+    small_l = np.where(up_ge, cl, ul)
+    # Only the shifted-right operand loses bits, and then it is the
+    # smaller one; under subtraction its lost fraction is a borrow:
+    # |L*2^g - (S*2^g + d)| = (L-S-1)*2^g + (2^g - d), both parts sticky.
+    borrow = (~same & lost).astype(U64)
+    part = big_l - small_l
+    diff_lo = part - borrow
+    diff_hi = (
+        big_h - small_h - (big_l < small_l).astype(U64)
+        - (part < borrow).astype(U64)
+    )
 
-    sh2 = e2 - g
-    a2_r, lost2_r = _shr_sticky(m2s, -sh2)
-    a2 = np.where(sh2 >= 0, _shl(m2s, sh2), a2_r)
-    lost2 = np.where(sh2 >= 0, False, lost2_r)
-    a2 = np.where(has2, a2, U64(0))
-    lost2 = np.where(has2, lost2, False)
-
-    v1 = a1.astype(I64) * np.where(s1 != 0, -1, 1)
-    v2 = a2.astype(I64) * np.where(s2 != 0, -1, 1)
-    total = v1 + v2
-    lost = lost1 | lost2
-    s_lost = np.where(lost1, s1, s2)  # at most one side can lose bits
-
-    is_zero = (total == 0) & live  # only reachable when nothing was lost
-    sign = (total < 0).astype(U64)
-    mag = np.abs(total).astype(U64)
-    # A lost amount on the side opposite the result's sign is a borrow:
-    # |total*2^g - d| = (|total|-1)*2^g + (2^g - d), both parts sticky.
-    mag = mag - (lost & (s_lost != sign)).astype(U64)
-    return is_zero, sign, mag, g, lost
+    hi = np.where(same, sum_hi, diff_hi)
+    lo = np.where(same, sum_lo, diff_lo)
+    sign = np.where(same | up_ge, s_up, s_cut)
+    is_zero = live & (hi == 0) & (lo == 0)  # only when nothing was lost
+    mant, shift, sticky = _narrow(hi, lo)
+    return is_zero, sign, mant, g + shift, lost | sticky
 
 
 # ----------------------------------------------------------------------
@@ -365,11 +494,15 @@ def _batch_addsub(fmt, a, b, mode, ftz, daz, negate_b):
     generic = ~nan_mask & ~inf_any & ~A.zero & ~B.zero
     m1, e1 = _sig_value(fmt, A)
     m2, e2 = _sig_value(fmt, B)
-    is_zero, sign, mag, g, stk = _signed_sum(m1, e1, A.sign, m2, e2, B.sign, generic)
-    rbits, rflags = _round_pack(fmt, mode, ftz, sign, mag, g, stk, generic & ~is_zero)
+    is_zero, sign, mant, exp, stk = _signed_sum(
+        np.zeros_like(m1), m1, e1, A.sign, m2, e2, B.sign, generic
+    )
+    rbits, rflags = _round_pack(
+        fmt, mode, ftz, sign, mant, exp, stk, generic & ~is_zero
+    )
     flags |= rflags
 
-    bits = np.select(
+    bits = _select(
         [nan_mask, inf_invalid, inf_any, both_zero, a_zero_only, b_zero_only, is_zero],
         [nan_bits, default_nan, inf_bits, both_zero_bits, B.bits, A.bits, ezs_bits],
         default=rbits,
@@ -398,13 +531,13 @@ def _batch_mul(fmt, a, b, mode, ftz, daz):
     generic = ~nan_mask & ~inf_any & ~A.zero & ~B.zero
     m1, e1 = _sig_value(fmt, A)
     m2, e2 = _sig_value(fmt, B)
-    product = m1 * m2  # <= 2**(2p) <= 2**56 for the supported precisions
+    mant, shift, sticky = _narrow(*_mul_wide(m1, m2))
     rbits, rflags = _round_pack(
-        fmt, mode, ftz, sign, product, e1 + e2, np.zeros(n, dtype=bool), generic
+        fmt, mode, ftz, sign, mant, e1 + e2 + shift, sticky, generic
     )
     flags |= rflags
 
-    bits = np.select(
+    bits = _select(
         [nan_mask, mul_invalid, inf_any, zero_res],
         [nan_bits, default_nan, signbit | U64(fmt.inf_bits(0)), signbit],
         default=rbits,
@@ -435,21 +568,25 @@ def _batch_div(fmt, a, b, mode, ftz, daz):
     generic = ~nan_mask & ~A.inf & ~B.inf & ~A.zero & ~B.zero
     m1, e1 = _sig_value(fmt, A)
     m2, e2 = _sig_value(fmt, B)
-    m1s = np.where(generic, m1, U64(1))
-    m2s = np.where(generic, m2, U64(1))
-    bl1 = _bit_length(m1s)
-    bl2 = _bit_length(m2s)
-    # Scale the numerator so the quotient carries `precision + 3` bits.
-    extra = np.maximum(fmt.precision + 3 + (bl2 - bl1), 0)
-    num = _shl(m1s, extra)
-    quotient = num // m2s
-    sticky = (num - quotient * m2s) != 0
+    p = fmt.precision
+    n1, x1 = _normalize(fmt, np.where(generic, m1, U64(1)), e1)
+    n2, x2 = _normalize(fmt, np.where(generic, m2, U64(1)), e2)
+    # Long division to floor(n1 * 2**(p+3) / n2), `64 - p` quotient bits
+    # per step: the shifted remainder stays below 2**64.
+    quotient, rem = np.divmod(n1, n2)
+    todo = p + 3
+    while todo:
+        step = min(64 - p, todo)
+        digit, rem = np.divmod(rem << U64(step), n2)
+        quotient = (quotient << U64(step)) | digit
+        todo -= step
+    sticky = rem != 0
     rbits, rflags = _round_pack(
-        fmt, mode, ftz, sign, quotient, e1 - e2 - extra, sticky, generic
+        fmt, mode, ftz, sign, quotient, x1 - x2 - (p + 3), sticky, generic
     )
     flags |= rflags
 
-    bits = np.select(
+    bits = _select(
         [nan_mask, div_invalid, inf_res, zero_res],
         [nan_bits, default_nan, signbit | U64(fmt.inf_bits(0)), signbit],
         default=rbits,
@@ -498,14 +635,16 @@ def _batch_fma(fmt, a, b, c, mode, ftz, daz):
     m1, e1 = _sig_value(fmt, A)
     m2, e2 = _sig_value(fmt, B)
     m3, e3 = _sig_value(fmt, C)
-    product = m1 * m2  # <= 2**(2p) <= 2**54
-    is_zero, sign, mag, g, stk = _signed_sum(
-        product, e1 + e2, psign, m3, e3, C.sign, generic
+    ph, pl = _mul_wide(m1, m2)
+    is_zero, sign, mant, exp, stk = _signed_sum(
+        ph, pl, e1 + e2, psign, m3, e3, C.sign, generic
     )
-    rbits, rflags = _round_pack(fmt, mode, ftz, sign, mag, g, stk, generic & ~is_zero)
+    rbits, rflags = _round_pack(
+        fmt, mode, ftz, sign, mant, exp, stk, generic & ~is_zero
+    )
     flags |= rflags
 
-    bits = np.select(
+    bits = _select(
         [
             snan_any,
             pinv_path,
@@ -548,30 +687,31 @@ def _batch_sqrt(fmt, a, mode, ftz, daz):
     pos_inf = A.inf & (A.sign == 0)
     generic = ~nan_mask & ~A.zero & ~negative & ~pos_inf
 
+    p = fmt.precision
     mant, exp2 = _sig_value(fmt, A)
-    mant_s = np.where(generic, mant, U64(1))
-    bl = _bit_length(mant_s)
-    # Scale to `2*(precision+2)` bits with an even exponent, then take
-    # the exact integer root: float64 sqrt plus a two-step fix-up (the
-    # scaled radicand stays below 2**53, so the float path is exact).
-    shift = 2 * (fmt.precision + 2) - bl
-    shift = np.where(((exp2 - shift) & 1) != 0, shift + 1, shift)
-    scaled = _shl(mant_s, shift)
-    root = np.sqrt(scaled.astype(np.float64)).astype(U64)
-    root = np.where(root * root > scaled, root - U64(1), root)
-    root = np.where(root * root > scaled, root - U64(1), root)
-    up = root + U64(1)
-    root = np.where(up * up <= scaled, up, root)
-    up = root + U64(1)
-    root = np.where(up * up <= scaled, up, root)
-    sticky = (root * root) != scaled
+    mant, exp2 = _normalize(fmt, np.where(generic, mant, U64(1)), exp2)
+    # Radicand N = mant * 2**shift with an even exponent left over; its
+    # low limb `rad` is all the integer arithmetic below needs.
+    shift = np.where(((exp2 - p) & 1) != 0, p + 5, p + 4)
+    rad = mant << shift.astype(U64)
+    scale = np.where(shift == p + 5, 2.0 ** (p + 5), 2.0 ** (p + 4))
+    root = np.sqrt(mant.astype(np.float64) * scale).astype(U64)
+    # N - r*r is small, so the wrapped uint64 difference is exact as
+    # int64.  One Newton step gives floor(sqrt(N)) or one above it.
+    rem = (rad - root * root).view(I64)
+    root = (root.view(I64) + rem // (root.view(I64) << 1)).view(U64)
+    rem = (rad - root * root).view(I64)
+    over = rem < 0
+    root = root - over.astype(U64)
+    rem = np.where(over, rem + (root.view(I64) << 1) + 1, rem)
+    sticky = rem != 0
     rbits, rflags = _round_pack(
-        fmt, mode, ftz, np.zeros(n, dtype=U64), root, (exp2 - shift) >> 1, sticky,
-        generic,
+        fmt, mode, ftz, np.zeros(n, dtype=U64), root, (exp2 - shift) >> 1,
+        sticky, generic,
     )
     flags |= rflags
 
-    bits = np.select(
+    bits = _select(
         [nan_mask, A.zero, negative, pos_inf],
         [nan_bits, A.bits, default_nan, A.bits],
         default=rbits,
@@ -629,7 +769,7 @@ def _batch_convert(src, dst, a, mode, ftz):
     )
     flags |= rflags
 
-    bits = np.select(
+    bits = _select(
         [A.nan, A.inf, A.zero],
         [nan_bits, dst_signbit | U64(dst.inf_bits(0)), dst_signbit],
         default=rbits,
@@ -665,14 +805,8 @@ class BatchBackend(SoftFloatBackend):
                 and fmt.precision <= 53
                 and dst_fmt.precision <= 53
             )
-        if op in ("add", "sub"):
+        if op in ("add", "sub", "mul", "div", "fma", "sqrt"):
             return fmt.precision <= 53
-        if op == "mul":
-            return fmt.precision <= 28
-        if op in ("div", "fma"):
-            return fmt.precision <= 27
-        if op == "sqrt":
-            return fmt.precision <= 24
         return False
 
     def run_packed(

@@ -28,6 +28,10 @@ __all__ = [
 ]
 
 
+def _derived():
+    return dataclasses.field(init=False, repr=False, compare=False)
+
+
 @dataclasses.dataclass(frozen=True)
 class FloatFormat:
     """An IEEE-754-style binary floating point format.
@@ -47,61 +51,50 @@ class FloatFormat:
     precision: int
     name: str = ""
 
+    # Derived geometry, computed once in ``__post_init__`` (every kernel
+    # reads these per operation).  Excluded from init, repr, equality
+    # and hash, so a format is still identified by (w, p, name) alone.
+    #: Width of the stored trailing significand field (``p - 1``).
+    frac_bits: int = _derived()
+    #: Total encoding width in bits (sign + exponent + fraction).
+    width: int = _derived()
+    #: Exponent bias, ``2**(w-1) - 1``.
+    bias: int = _derived()
+    #: Largest unbiased exponent of a finite normal number.
+    emax: int = _derived()
+    #: Smallest unbiased exponent of a normal number (``1 - emax``).
+    emin: int = _derived()
+    #: The all-ones biased exponent (reserved for inf/NaN).
+    max_biased_exp: int = _derived()
+    #: Bit mask of the trailing significand field.
+    sig_mask: int = _derived()
+    #: The NaN quiet bit: the MSB of the trailing significand.
+    quiet_bit: int = _derived()
+    #: The implicit leading significand bit value, ``2**(p-1)``.
+    hidden_bit: int = _derived()
+
     def __post_init__(self) -> None:
         if self.exp_bits < 2:
             raise FormatError(f"exponent field needs >= 2 bits, got {self.exp_bits}")
         if self.precision < 2:
             raise FormatError(f"precision needs >= 2 bits, got {self.precision}")
+        frac_bits = self.precision - 1
+        bias = (1 << (self.exp_bits - 1)) - 1
+        derived = {
+            "frac_bits": frac_bits,
+            "width": 1 + self.exp_bits + frac_bits,
+            "bias": bias,
+            "emax": bias,
+            "emin": 1 - bias,
+            "max_biased_exp": (1 << self.exp_bits) - 1,
+            "sig_mask": (1 << frac_bits) - 1,
+            "quiet_bit": 1 << (frac_bits - 1),
+            "hidden_bit": 1 << frac_bits,
+        }
         if not self.name:
-            object.__setattr__(self, "name", f"E{self.exp_bits}M{self.frac_bits}")
-
-    # ------------------------------------------------------------------
-    # Derived geometry
-    # ------------------------------------------------------------------
-    @property
-    def frac_bits(self) -> int:
-        """Width of the stored trailing significand field (``p - 1``)."""
-        return self.precision - 1
-
-    @property
-    def width(self) -> int:
-        """Total encoding width in bits (sign + exponent + fraction)."""
-        return 1 + self.exp_bits + self.frac_bits
-
-    @property
-    def bias(self) -> int:
-        """Exponent bias, ``2**(w-1) - 1``."""
-        return (1 << (self.exp_bits - 1)) - 1
-
-    @property
-    def emax(self) -> int:
-        """Largest unbiased exponent of a finite normal number."""
-        return self.bias
-
-    @property
-    def emin(self) -> int:
-        """Smallest unbiased exponent of a normal number (``1 - emax``)."""
-        return 1 - self.bias
-
-    @property
-    def max_biased_exp(self) -> int:
-        """The all-ones biased exponent (reserved for inf/NaN)."""
-        return (1 << self.exp_bits) - 1
-
-    @property
-    def sig_mask(self) -> int:
-        """Bit mask of the trailing significand field."""
-        return (1 << self.frac_bits) - 1
-
-    @property
-    def quiet_bit(self) -> int:
-        """The NaN quiet bit: the MSB of the trailing significand."""
-        return 1 << (self.frac_bits - 1)
-
-    @property
-    def hidden_bit(self) -> int:
-        """The implicit leading significand bit value, ``2**(p-1)``."""
-        return 1 << self.frac_bits
+            derived["name"] = f"E{self.exp_bits}M{frac_bits}"
+        for field_name, value in derived.items():
+            object.__setattr__(self, field_name, value)
 
     # ------------------------------------------------------------------
     # Landmark encodings

@@ -17,7 +17,9 @@ this backend is deliberately narrow:
 
 Everything else — other formats, directed rounding, FTZ/DAZ, and any
 lane holding a NaN, infinity, or zero — goes to the scalar reference,
-so NaN payload propagation never depends on host NaN semantics.
+so NaN payload propagation never depends on host NaN semantics.  With
+telemetry enabled, the lanes handed to scalar are counted under
+``softfloat.scalar_fallback_lanes_total{op,format}``.
 
 The backend refuses to run at all unless :func:`host_fastpath_report`
 proves the host: no x87-style double rounding on a discriminating
@@ -37,6 +39,7 @@ from repro.fpenv.flags import FPFlag
 from repro.fpenv.rounding import RoundingMode
 from repro.softfloat.backend import BatchResult, ScalarBackend, SoftFloatBackend
 from repro.softfloat.formats import BINARY32, BINARY64, FloatFormat
+from repro.telemetry.runtime import get_telemetry
 
 __all__ = ["NativeBackend", "host_fastpath_report", "host_fastpath_ok"]
 
@@ -189,6 +192,11 @@ class NativeBackend(SoftFloatBackend):
                 flags_out[generic] = g_flags
 
         special = ~generic
+        telemetry = get_telemetry()
+        if telemetry.enabled:
+            telemetry.metrics.counter(
+                "softfloat.scalar_fallback_lanes_total", op=op, format=fmt.name
+            ).inc(int(special.sum()))
         if special.any():
             sub = self._scalar.run_packed(
                 op, fmt, [a[special] for a in arrays], mode, ftz, daz, dst_fmt

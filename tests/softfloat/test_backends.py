@@ -33,6 +33,7 @@ from repro.softfloat import (
     BINARY16,
     BINARY32,
     BINARY64,
+    BINARY128,
     E4M3,
     TINY8,
     AutoBackend,
@@ -172,7 +173,9 @@ def test_native_matches_scalar_corpus(fmt, op):
     _assert_backend_matches_scalar(op, fmt, lanes, mode, ftz, daz, NATIVE)
 
 
-@pytest.mark.parametrize("fmt", [TINY8, BINARY16, BINARY32], ids=["tiny8", "binary16", "binary32"])
+@pytest.mark.parametrize(
+    "fmt", [TINY8, BINARY16, BINARY32, BINARY64],
+    ids=["tiny8", "binary16", "binary32", "binary64"])
 @pytest.mark.parametrize("backend_name", ["scalar", "batch", "auto"])
 def test_backends_match_oracle_corpus(fmt, backend_name):
     """Every backend agrees with the PR 1 exact-rounding oracle (value
@@ -203,6 +206,107 @@ def test_backends_match_oracle_corpus(fmt, backend_name):
                     f"mode={mode.value} ftz={ftz} daz={daz} "
                     f"operands={[hex(o) for o in operands]}"
                 )
+
+
+# ----------------------------------------------------------------------
+# steered binary64 tier: the two-limb kernels' hard cases
+# ----------------------------------------------------------------------
+
+_B64_BIAS = BINARY64.bias
+_B64_TOP = BINARY64.max_biased_exp - 1  # largest finite biased exponent
+
+
+def _b64(sign: int, biased_exp: int, frac: int) -> int:
+    return BINARY64.pack(sign, int(np.clip(biased_exp, 0, _B64_TOP)), frac)
+
+
+def _frac(rng, keep: int = 52) -> int:
+    """A random trailing significand with only its top ``keep`` bits
+    free (few significant bits make exact results and exact ties)."""
+    return int(rng.integers(0, 1 << keep)) << (52 - keep)
+
+
+def _rne(op: str, *operands: int) -> int:
+    lanes = [np.array([o], dtype=np.uint64) for o in operands]
+    mode, ftz, daz = HARDWARE_DEFAULT
+    return int(SCALAR.run_packed(op, BINARY64, lanes, mode, ftz, daz).bits[0])
+
+
+def _steered_binary64(op: str, rng, per_kind: int = 32) -> list[np.ndarray]:
+    """Operand lanes aimed at the binary64 mul/div/fma/sqrt corners:
+    results in the subnormal band or a few ulps from overflow, exact
+    ties and exact results, perfect squares, fma cancellation and fma
+    addends far from the product."""
+    rows: list[tuple[int, ...]] = []
+
+    def sign() -> int:
+        return int(rng.integers(0, 2))
+
+    for _ in range(per_kind):
+        ea = int(rng.integers(1, _B64_BIAS + 1))
+        few_a, few_b = _frac(rng, int(rng.integers(1, 27))), _frac(
+            rng, int(rng.integers(1, 27)))
+        if op == "mul":
+            # product exponent in the subnormal band, then near overflow
+            t = int(rng.integers(-54, 3))
+            rows.append((_b64(sign(), ea, _frac(rng)),
+                         _b64(sign(), t + _B64_BIAS - ea, _frac(rng))))
+            eb = int(rng.integers(_B64_BIAS, _B64_TOP + 1))
+            t = int(rng.integers(_B64_TOP - 2, _B64_TOP + 3))
+            rows.append((_b64(sign(), t + _B64_BIAS - eb, _frac(rng)),
+                         _b64(sign(), eb, _frac(rng))))
+            rows.append((_b64(sign(), 0, _frac(rng)), _b64(sign(), eb, _frac(rng))))
+            rows.append((_b64(sign(), int(rng.integers(1, _B64_TOP)), few_a),
+                         _b64(sign(), int(rng.integers(1, _B64_TOP)), few_b)))
+        elif op == "div":
+            t = int(rng.integers(-54, 3))
+            rows.append((_b64(sign(), ea, _frac(rng)),
+                         _b64(sign(), ea - t + _B64_BIAS, _frac(rng))))
+            t = int(rng.integers(_B64_TOP - 2, _B64_TOP + 3))
+            eb = int(rng.integers(1, _B64_BIAS))
+            rows.append((_b64(sign(), t + eb - _B64_BIAS, _frac(rng)),
+                         _b64(sign(), eb, _frac(rng))))
+            # exact quotient: (b * q) / b, and a short significand divided
+            # by a power of two into the subnormal band (exact ties)
+            b = _b64(sign(), int(rng.integers(900, 1100)), few_a)
+            q = _b64(sign(), int(rng.integers(900, 1100)), few_b)
+            rows.append((_rne("mul", b, q), b))
+            rows.append((_b64(sign(), int(rng.integers(1, 60)), few_a),
+                         _b64(0, _B64_BIAS + int(rng.integers(1, 60)), 0)))
+        elif op == "sqrt":
+            r = _b64(0, int(rng.integers(_B64_BIAS - 500, _B64_BIAS + 500)), few_a)
+            rows.append((_rne("mul", r, r),))  # perfect square
+            rows.append((_b64(0, 0, _frac(rng)),))  # subnormal radicand
+            rows.append((_b64(0, int(rng.integers(1, _B64_TOP + 1)), _frac(rng)),))
+            rows.append((_b64(0, int(rng.integers(1, _B64_TOP + 1)), few_b),))
+        else:  # fma
+            a = _b64(sign(), int(rng.integers(800, 1200)), few_a)
+            b = _b64(sign(), int(rng.integers(800, 1200)), few_b)
+            rows.append((a, b, _rne("mul", a, b) ^ (1 << 63)))  # exact cancel
+            a = _b64(sign(), int(rng.integers(800, 1200)), _frac(rng))
+            b = _b64(sign(), int(rng.integers(800, 1200)), _frac(rng))
+            rows.append((a, b, _rne("mul", a, b) ^ (1 << 63)))  # near cancel
+            ep = int(rng.integers(800, 1200)) + int(rng.integers(800, 1200)) - _B64_BIAS
+            gap = int(rng.integers(54, 400))
+            rows.append((_b64(sign(), ep - 1000 + _B64_BIAS, _frac(rng)),
+                         _b64(sign(), 1000, _frac(rng)),
+                         _b64(sign(), max(ep - gap, 0), _frac(rng))))  # sticky only
+            rows.append((_b64(sign(), ea, _frac(rng)),
+                         _b64(sign(), int(rng.integers(-54, 3)) + _B64_BIAS - ea,
+                              _frac(rng)),
+                         _b64(sign(), int(rng.integers(0, 3)), _frac(rng))))
+    return [np.array(col, dtype=np.uint64) for col in zip(*rows)]
+
+
+@pytest.mark.parametrize("op", ["mul", "div", "fma", "sqrt"])
+def test_batch_matches_scalar_binary64_steered(op):
+    """binary64 batch == scalar on the exponent-steered corners of the
+    two-limb kernels, under all 20 environment cells."""
+    lanes = _steered_binary64(op, np.random.default_rng(754))
+    for mode, ftz, daz in ENV_MATRIX:
+        assert BATCH.supports(op, BINARY64, mode, ftz, daz)
+        _assert_backend_matches_scalar(
+            op, BINARY64, lanes, mode, ftz, daz, BATCH)
 
 
 @pytest.mark.parametrize("src", [BINARY16, BINARY32, E4M3], ids=["binary16", "binary32", "e4m3"])
@@ -276,6 +380,18 @@ class TestProtocol:
         chosen = auto.select(
             "add", BINARY32, RoundingMode.TOWARD_ZERO, False, False)
         assert chosen.name == "batch"
+
+    def test_auto_puts_binary64_arithmetic_on_batch(self):
+        auto = get_backend("auto")
+        for op in ("mul", "div", "fma", "sqrt"):
+            for mode, ftz, daz in ENV_MATRIX:
+                chosen = auto.select(op, BINARY64, mode, ftz, daz)
+                assert chosen.name == "batch", (op, mode, ftz, daz)
+
+    def test_batch_refuses_binary128(self):
+        for op in ARITH_OPS + COMPARE_OPS:
+            for mode, ftz, daz in ENV_MATRIX:
+                assert not BATCH.supports(op, BINARY128, mode, ftz, daz)
 
     def test_native_refuses_unsupported_cells(self):
         mode, _, _ = HARDWARE_DEFAULT

@@ -121,3 +121,45 @@ class TestLandmarkValues:
 
     def test_tiny_format_is_exhaustible(self):
         assert 1 << TINY8.width == 64
+
+
+class TestPrecomputedGeometry:
+    """The derived geometry is stored once per instance; it must equal
+    its defining formula and stay invisible to identity."""
+
+    FORMATS = (*STANDARD_FORMATS, FloatFormat(6, 37))
+
+    @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
+    def test_fields_match_their_formulas(self, fmt):
+        w, p = fmt.exp_bits, fmt.precision
+        bias = 2 ** (w - 1) - 1
+        assert fmt.frac_bits == p - 1
+        assert fmt.width == 1 + w + (p - 1)
+        assert fmt.bias == bias
+        assert fmt.emax == bias
+        assert fmt.emin == 1 - bias
+        assert fmt.max_biased_exp == 2**w - 1
+        assert fmt.sig_mask == 2 ** (p - 1) - 1
+        assert fmt.quiet_bit == 2 ** (p - 2)
+        assert fmt.hidden_bit == 2 ** (p - 1)
+
+    @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
+    def test_pickle_round_trip(self, fmt):
+        import pickle
+
+        again = pickle.loads(pickle.dumps(fmt))
+        assert again == fmt
+        assert hash(again) == hash(fmt)
+        assert again.sig_mask == fmt.sig_mask and again.width == fmt.width
+
+    @pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f.name)
+    def test_identity_is_exp_bits_precision_name(self, fmt):
+        import dataclasses
+
+        fresh = FloatFormat(fmt.exp_bits, fmt.precision, fmt.name)
+        assert fresh == fmt and hash(fresh) == hash(fmt)
+        assert repr(fresh) == repr(fmt)
+        assert FloatFormat(fmt.exp_bits, fmt.precision, "other") != fmt
+        wider = dataclasses.replace(fmt, exp_bits=fmt.exp_bits + 1)
+        assert wider.bias == 2**fmt.exp_bits - 1
+        assert wider.width == fmt.width + 1

@@ -44,6 +44,57 @@ class TestOracleRunExports:
         assert {"oracle.run", "oracle.op"} <= names
 
 
+class TestBackendTierCounters:
+    """Decision counters: which tier served each lane, and how many
+    lanes the native tier handed back to scalar."""
+
+    @staticmethod
+    def _lanes_by_backend(snapshot, op):
+        prefix = "softfloat.lanes_total{backend="
+        suffix = f",format=binary64,op={op}}}"
+        return {
+            key[len(prefix):-len(suffix)]: entry["value"]
+            for key, entry in snapshot.items()
+            if key.startswith(prefix) and key.endswith(suffix)
+        }
+
+    def test_traced_binary64_sweep_never_lands_on_scalar(self):
+        from repro.oracle import FORMATS_BY_NAME
+        from repro.oracle.runner import run_conformance
+        from repro.telemetry import telemetry_session
+
+        with telemetry_session() as session:
+            run_conformance(
+                FORMATS_BY_NAME["binary64"], ["mul", "div", "fma", "sqrt"],
+                budget=300, seed=5, engine_backend="auto",
+                env_combos=((False, False), (False, True), (True, False),
+                            (True, True)))
+        snapshot = session.metrics.snapshot()
+        for op in ("mul", "div", "fma", "sqrt"):
+            lanes = self._lanes_by_backend(snapshot, op)
+            assert lanes.get("scalar", 0) == 0, (op, lanes)
+            assert sum(lanes.values()) == 300, (op, lanes)
+
+    def test_counters_in_metrics_out(self, tmp_path, capsys):
+        from repro.softfloat.nativefast import host_fastpath_ok
+
+        metrics_path = tmp_path / "m.json"
+        code = main([
+            "oracle", "run", "--format", "binary64", "--ops", "add,mul",
+            "--budget", "200", "--engine-backend", "auto",
+            "--metrics-out", str(metrics_path),
+        ])
+        assert code == 0
+        snapshot = json.loads(metrics_path.read_text())
+        assert sum(self._lanes_by_backend(snapshot, "mul").values()) == 200
+        assert sum(self._lanes_by_backend(snapshot, "add").values()) == 200
+        if host_fastpath_ok():  # native serves add under RNE, no FTZ/DAZ
+            fallback = snapshot[
+                "softfloat.scalar_fallback_lanes_total{format=binary64,op=add}"]
+            assert 0 < fallback["value"] <= self._lanes_by_backend(
+                snapshot, "add")["native"]
+
+
 class TestTelemetryView:
     def test_view_trace(self, tmp_path, capsys):
         trace_path = tmp_path / "t.jsonl"
