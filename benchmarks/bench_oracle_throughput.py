@@ -19,18 +19,18 @@ RNE_CFG = OracleConfig()
 
 
 def test_oracle_add_binary64(benchmark):
-    a, b = sf(1.7), sf(2.9)
-    benchmark(oracle_operation, "add", RNE_CFG, a, b)
+    a, b = sf(1.7).bits, sf(2.9).bits
+    benchmark(oracle_operation, "add", BINARY64, RNE_CFG, a, b)
 
 
 def test_oracle_fma_binary64(benchmark):
-    a, b, c = sf(1.7), sf(2.9), sf(-0.3)
-    benchmark(oracle_operation, "fma", RNE_CFG, a, b, c)
+    a, b, c = sf(1.7).bits, sf(2.9).bits, sf(-0.3).bits
+    benchmark(oracle_operation, "fma", BINARY64, RNE_CFG, a, b, c)
 
 
 def test_oracle_sqrt_binary64(benchmark):
-    x = sf(2.0)
-    benchmark(oracle_operation, "sqrt", RNE_CFG, x)
+    x = sf(2.0).bits
+    benchmark(oracle_operation, "sqrt", BINARY64, RNE_CFG, x)
 
 
 def test_round_fraction_exact_subnormal(benchmark):

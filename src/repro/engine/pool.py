@@ -4,10 +4,14 @@ The pool owns the process lifecycle so callers never see a dead
 worker.  The supervision loop is a single-threaded event pump, and its
 central design decision is that **assignment lives in the parent**:
 each worker has its own bounded task queue, and the parent records
-which units it handed to which worker.  A worker's messages ride an
-async feeder thread, so anything a dying worker *says* can be lost
-mid-flush — but what the parent *assigned* cannot.  Recovery therefore
-never depends on worker-side bookkeeping:
+which units it handed to which worker.  Each worker reports on its
+own pipe, written synchronously, so a worker that dies mid-write can
+garble only its own channel, which the parent discards with the worker
+(a shared ``multiprocessing.Queue`` would not do: a worker killed
+while its feeder thread holds the queue's write lock strands that
+lock, and with it every other worker's reports).  Anything a dying worker was about
+to *say* can still be lost — but what the parent *assigned* cannot.
+Recovery therefore never depends on worker-side bookkeeping:
 
 - **batching** — ready shards are dispatched in up-to-``batch_size``
   batches to amortize queue IPC;
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
+import multiprocessing.connection
 import queue as queue_module
 import threading
 import time
@@ -144,13 +149,16 @@ class _Unit:
 
 
 class _WorkerHandle:
-    """A worker process, its private queue, and what the parent
-    assigned to it."""
+    """A worker process, its private task queue and report pipe, and
+    what the parent assigned to it."""
 
-    def __init__(self, worker_id: int, process, task_queue) -> None:
+    def __init__(self, worker_id: int, process, task_queue,
+                 reports) -> None:
         self.worker_id = worker_id
         self.process = process
         self.task_queue = task_queue
+        #: read end of the worker's report pipe
+        self.reports = reports
         #: units handed over but not yet reported done, by shard index
         self.assigned: dict[int, _Unit] = {}
         #: (shard_index, started_at) of the unit currently executing
@@ -182,7 +190,6 @@ class WorkerPool:
             if ctx_name else multiprocessing.get_context()
         )
         self._next_worker_id = 0
-        self._result_queue = None
         self._stop = threading.Event()
         self._stop_deadline = 0.0
         #: set when :meth:`run` has fully unwound (workers reaped);
@@ -207,16 +214,19 @@ class WorkerPool:
         worker_id = self._next_worker_id
         self._next_worker_id += 1
         task_queue = self._mp.Queue(maxsize=self.config.queue_depth)
+        reports, writer = self._mp.Pipe(duplex=False)
         process = self._mp.Process(
             target=worker_main,
-            args=(worker_id, task_queue, self._result_queue,
+            args=(worker_id, task_queue, writer,
                   self.config.heartbeat_interval),
             daemon=True,
             name=f"repro-engine-worker-{worker_id}",
         )
         process.start()
+        # The worker holds the only write end, so its death reads as EOF.
+        writer.close()
         self.stats.workers_spawned += 1
-        return _WorkerHandle(worker_id, process, task_queue)
+        return _WorkerHandle(worker_id, process, task_queue, reports)
 
     # -- supervision helpers -------------------------------------------
 
@@ -273,6 +283,7 @@ class WorkerPool:
             handle.process.kill()
             handle.process.join(timeout=1.0)
         handle.process.close()
+        handle.reports.close()
         handle.task_queue.cancel_join_thread()
         handle.task_queue.close()
 
@@ -324,7 +335,6 @@ class WorkerPool:
                 self._traceparent = context.to_traceparent()
         max_outstanding = config.batch_size * config.queue_depth
 
-        self._result_queue = self._mp.Queue()
         workers = {
             handle.worker_id: handle
             for handle in (
@@ -383,19 +393,18 @@ class WorkerPool:
                 )
                 metrics.gauge("engine.queue_depth").set(outstanding)
 
-                # 2. drain worker reports.
-                try:
-                    message = self._result_queue.get(
-                        timeout=config.poll_interval
-                    )
-                except queue_module.Empty:
-                    message = None
-                while message is not None:
-                    self._handle_message(message, workers, results, metrics)
+                # 2. drain worker reports.  A dead worker's pipe reads
+                #    as EOF (or a garbled last message); step 3 reaps it.
+                for reports in multiprocessing.connection.wait(
+                    [h.reports for h in workers.values()],
+                    timeout=config.poll_interval,
+                ):
                     try:
-                        message = self._result_queue.get_nowait()
-                    except queue_module.Empty:
-                        message = None
+                        while reports.poll():
+                            self._handle_message(reports.recv(), workers,
+                                                 results, metrics)
+                    except (EOFError, OSError):
+                        pass
 
                 # 3. liveness + watchdog.
                 now = time.monotonic()
@@ -518,8 +527,6 @@ class WorkerPool:
                 handle.process.close()
             except ValueError:  # pragma: no cover - already closed
                 pass
+            handle.reports.close()
             handle.task_queue.cancel_join_thread()
             handle.task_queue.close()
-        if self._result_queue is not None:
-            self._result_queue.cancel_join_thread()
-            self._result_queue.close()

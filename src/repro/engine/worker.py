@@ -28,11 +28,12 @@ The message protocol (worker side):
   starved one;
 - exit on ``("stop",)``.
 
-Workers never acknowledge receipt: outbound messages ride an async
-feeder thread that a dying process may never flush, so the parent
-tracks assignment on its own side and treats everything it assigned
-to a dead worker as lost.  ``done`` messages that *did* flush before
-a death are deduplicated by the parent.
+Outbound messages go synchronously down this worker's own pipe
+(``reports``), so a death can garble at most this worker's channel.
+Workers never acknowledge receipt: the parent tracks assignment on its
+own side and treats everything it assigned to a dead worker as lost.
+``done`` messages that arrived before a death are deduplicated by the
+parent.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ __all__ = ["worker_main"]
 _WORKER_MAX_SPANS = 10_000
 
 
-def worker_main(worker_id: int, task_queue, result_queue,
+def worker_main(worker_id: int, task_queue, reports,
                 heartbeat_interval: float) -> None:
     """Run the worker loop until a stop sentinel (or a fatal signal)."""
     from repro.telemetry import reset_for_process
@@ -64,14 +65,14 @@ def worker_main(worker_id: int, task_queue, result_queue,
         try:
             message = task_queue.get(timeout=heartbeat_interval)
         except queue_module.Empty:
-            result_queue.put(("hb", worker_id))
+            reports.send(("hb", worker_id))
             continue
         if message[0] == "stop":
             return
         for unit in message[1]:
             shard_index, n_shards, task_name, params, seed, attempt = unit[:6]
             traceparent = unit[6] if len(unit) > 6 else None
-            result_queue.put(("start", worker_id, shard_index, attempt))
+            reports.send(("start", worker_id, shard_index, attempt))
             ctx = ShardContext(
                 index=shard_index, n_shards=n_shards, seed=seed,
                 attempt=attempt,
@@ -86,12 +87,12 @@ def worker_main(worker_id: int, task_queue, result_queue,
                         traceparent, worker_id,
                     )
             except Exception as exc:
-                result_queue.put((
+                reports.send((
                     "task_error", worker_id, shard_index, attempt,
                     repr(exc), traceback.format_exc(),
                 ))
             else:
-                result_queue.put((
+                reports.send((
                     "done", worker_id, shard_index, attempt, result,
                     payload,
                 ))

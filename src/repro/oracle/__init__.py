@@ -3,7 +3,7 @@
 TestFloat-style differential testing subsystem.  The parts:
 
 - :mod:`repro.oracle.exact` — the **oracle** itself: IEEE 754 add,
-  sub, mul, div, sqrt, and fma computed over exact rationals and
+  sub, mul, div, sqrt, and fma computed exactly over scaled integers and
   correctly rounded into any format under all five rounding modes,
   with the exact sticky-flag set (including both tininess-detection
   conventions and FTZ/DAZ);

@@ -1,14 +1,25 @@
-"""The exact-rounding reference: IEEE 754 computed over exact rationals.
+"""The exact-rounding reference: IEEE 754 computed over scaled integers.
 
-This module is the *oracle* half of the conformance subsystem: every
-operation is computed exactly on :class:`fractions.Fraction` (or, for
-square root, by integer-square-root with exact square comparisons) and
-then correctly rounded into the destination format by comparing the
-exact remainder against the halfway point.  Nothing here shares code
-with the engine's round-and-pack path — the engine works on shifted
-integer mantissas with guard/sticky markers, the oracle on rational
-remainder comparisons — so a bug has to appear *twice, independently*
-to escape the differential runner.
+This module is the *oracle* half of the conformance subsystem.  Every
+operand is decoded once, straight from its encoding, into ``(sign,
+class, m, e)`` with the finite value ``m * 2**e``.  The exact result of
+an operation is then an integer computation:
+
+- add, sub, mul and fma results are dyadic (``m * 2**e``), so they are
+  rounded by one shift, with the discarded bits compared against half
+  a ULP (``1 << (shift - 1)``);
+- a quotient ``num/den * 2**e`` is rounded with one ``divmod``, the
+  remainder compared against half the divisor;
+- square root takes :func:`math.isqrt` of the scaled radicand and
+  decides the rounding by exact square comparisons.
+
+The only thing this module shares with the engine is
+:class:`~repro.softfloat.formats.FloatFormat` (field geometry and
+landmark encodings).  The engine rounds shifted mantissas with
+guard/sticky markers; the oracle compares an exact remainder against
+the halfway point — so a bug has to appear *twice, independently* to
+escape the differential runner.  :class:`SoftFloat` appears only in the
+adapters (``oracle_add`` … ``oracle_fma``) and :meth:`OracleResult.value`.
 
 The oracle reproduces the engine's *documented* latitude choices so
 that agreement can be demanded bit-for-bit:
@@ -16,19 +27,23 @@ that agreement can be demanded bit-for-bit:
 - NaN propagation returns the first NaN operand, quieted, raising
   *invalid* iff some operand was signaling;
 - ``fma(0, inf, c)`` is invalid with the default NaN even for quiet
-  NaN ``c`` (the x86 FMA3 rule);
+  NaN ``c`` (the x86 FMA3 rule), and that check sees the operands
+  *before* DAZ, so ``fma(subnormal, inf, c)`` is an infinity under DAZ;
 - exact zeros from cancellation are ``+0`` except under
   roundTowardNegative;
 - tininess is detected before rounding by default (the x86/SSE choice);
-  pass ``tininess="after"`` for the other 754-sanctioned convention.
+  pass ``tininess="after"`` for the other convention (see
+  :class:`OracleConfig`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from fractions import Fraction
+from numbers import Rational
+from typing import NamedTuple
 
+from repro.errors import FormatError
 from repro.fpenv.flags import FPFlag
 from repro.fpenv.rounding import RoundingMode
 from repro.softfloat.formats import FloatFormat
@@ -52,6 +67,25 @@ __all__ = [
 # How the discarded part of an exact value compares to half a ULP.
 _EXACT, _BELOW_HALF, _HALF, _ABOVE_HALF = range(4)
 
+# Operand classes of a decoded encoding; NaN classes sort last.
+_ZERO, _FINITE, _INF, _QNAN, _SNAN = range(5)
+
+# Flag sets the oracle delivers, built once (``FPFlag.__or__`` is slow).
+_NONE = FPFlag.NONE
+_INVALID = FPFlag.INVALID
+_DIV_BY_ZERO = FPFlag.DIV_BY_ZERO
+_INEXACT = FPFlag.INEXACT
+_DENORMAL = FPFlag.DENORMAL_RESULT
+_TINY_INEXACT = FPFlag.INEXACT | FPFlag.UNDERFLOW
+_TINY_INEXACT_DENORMAL = _TINY_INEXACT | FPFlag.DENORMAL_RESULT
+_OVERFLOW_INEXACT = FPFlag.OVERFLOW | FPFlag.INEXACT
+
+_RNE = RoundingMode.NEAREST_EVEN
+_RNA = RoundingMode.NEAREST_AWAY
+_RTZ = RoundingMode.TOWARD_ZERO
+_RTP = RoundingMode.TOWARD_POSITIVE
+_RTN = RoundingMode.TOWARD_NEGATIVE
+
 
 @dataclasses.dataclass(frozen=True)
 class OracleConfig:
@@ -59,8 +93,9 @@ class OracleConfig:
 
     ``tininess`` selects the underflow-detection convention: ``"before"``
     (tiny iff the exact value is below the smallest normal; x86/SSE) or
-    ``"after"`` (tiny iff the result rounded as if the exponent range
-    were unbounded is below it; PowerPC/ARM FPSCR).
+    ``"after"`` (tiny iff, in addition, the delivered result is still
+    subnormal: a tiny value that rounds up to the smallest normal is
+    not tiny).
     """
 
     rounding: RoundingMode = RoundingMode.NEAREST_EVEN
@@ -74,8 +109,7 @@ class OracleConfig:
                              f" {self.tininess!r}")
 
 
-@dataclasses.dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     """What the oracle says an operation must deliver: the exact result
     encoding and the exact sticky-flag set."""
 
@@ -88,7 +122,31 @@ class OracleResult:
 
 
 # ----------------------------------------------------------------------
-# Correct rounding of an exact rational magnitude
+# Decoding an encoding into an exact scaled integer
+# ----------------------------------------------------------------------
+def _decode(fmt: FloatFormat, bits: int, daz: bool) -> tuple:
+    """``(sign, class, m, e)`` of an encoding; a ``_FINITE`` value is
+    ``m * 2**e`` with ``m > 0``.  Under ``daz`` a subnormal decodes as a
+    zero of the same sign."""
+    if bits < 0 or bits >> fmt.width:
+        raise FormatError(f"bit pattern 0x{bits:x} out of range for {fmt}")
+    frac_bits = fmt.frac_bits
+    sign = bits >> (fmt.width - 1)
+    biased = (bits >> frac_bits) & fmt.max_biased_exp
+    frac = bits & fmt.sig_mask
+    if biased == 0:
+        if frac == 0 or daz:
+            return sign, _ZERO, 0, 0
+        return sign, _FINITE, frac, fmt.emin - frac_bits
+    if biased == fmt.max_biased_exp:
+        if frac == 0:
+            return sign, _INF, 0, 0
+        return sign, (_QNAN if frac & fmt.quiet_bit else _SNAN), 0, 0
+    return sign, _FINITE, frac | fmt.hidden_bit, biased - fmt.bias - frac_bits
+
+
+# ----------------------------------------------------------------------
+# Correct rounding of an exact magnitude
 # ----------------------------------------------------------------------
 def _ilog2(num: int, den: int) -> int:
     """``floor(log2(num/den))`` for positive integers, exactly."""
@@ -99,30 +157,30 @@ def _ilog2(num: int, den: int) -> int:
     return k if (num << -k) >= den else k - 1
 
 
-def _rounds_up(mode: RoundingMode, sign: int, odd: bool, state: int) -> bool:
+def _rounds_up(mode: RoundingMode, sign: int, odd: int, state: int) -> bool:
     """Independent reimplementation of the five rounding decisions."""
     if state == _EXACT:
         return False
-    if mode is RoundingMode.NEAREST_EVEN:
+    if mode is _RNE:
         return state == _ABOVE_HALF or (state == _HALF and odd)
-    if mode is RoundingMode.NEAREST_AWAY:
-        return state in (_HALF, _ABOVE_HALF)
-    if mode is RoundingMode.TOWARD_ZERO:
+    if mode is _RNA:
+        return state != _BELOW_HALF
+    if mode is _RTZ:
         return False
-    if mode is RoundingMode.TOWARD_POSITIVE:
+    if mode is _RTP:
         return sign == 0
-    if mode is RoundingMode.TOWARD_NEGATIVE:
+    if mode is _RTN:
         return sign == 1
     raise AssertionError(f"unhandled rounding mode {mode!r}")
 
 
 def _overflow_bits(fmt: FloatFormat, mode: RoundingMode, sign: int) -> int:
     """Result encoding on overflow (inf or max-finite per direction)."""
-    if mode in (RoundingMode.NEAREST_EVEN, RoundingMode.NEAREST_AWAY):
+    if mode is _RNE or mode is _RNA:
         return fmt.inf_bits(sign)
-    if mode is RoundingMode.TOWARD_ZERO:
+    if mode is _RTZ:
         return fmt.max_finite_bits(sign)
-    if mode is RoundingMode.TOWARD_POSITIVE:
+    if mode is _RTP:
         return fmt.inf_bits(0) if sign == 0 else fmt.max_finite_bits(1)
     return fmt.inf_bits(1) if sign == 1 else fmt.max_finite_bits(0)
 
@@ -139,62 +197,93 @@ def _finish(
     """Deliver the truncated significand ``n`` at granularity ``2**q``
     whose discarded part compares to half a ULP as ``state``."""
     precision = fmt.precision
-    inexact = state != _EXACT
-    if _rounds_up(cfg.rounding, sign, bool(n & 1), state):
+    if _rounds_up(cfg.rounding, sign, n & 1, state):
         n += 1
         if n == (1 << precision):  # carry out of the significand
             n >>= 1
             q += 1
+    sign_bit = sign << (fmt.width - 1)
 
     if n == 0:
         # A tiny value rounded all the way down to zero.
-        return OracleResult(fmt.zero_bits(sign),
-                            FPFlag.INEXACT | FPFlag.UNDERFLOW)
+        return OracleResult(sign_bit, _TINY_INEXACT)
 
-    msb_exp = q + n.bit_length() - 1
+    length = n.bit_length()
+    msb_exp = q + length - 1
     if msb_exp > fmt.emax:
         return OracleResult(_overflow_bits(fmt, cfg.rounding, sign),
-                            FPFlag.OVERFLOW | FPFlag.INEXACT)
+                            _OVERFLOW_INEXACT)
 
-    subnormal = n.bit_length() < precision
-    if cfg.tininess == "before":
-        tiny = tiny_before
-    else:
-        tiny = tiny_before and subnormal
-    flags = FPFlag.NONE
-    if inexact:
-        flags |= FPFlag.INEXACT
-        if tiny:
-            flags |= FPFlag.UNDERFLOW
-
-    if not subnormal:
-        return OracleResult(fmt.pack(sign, msb_exp + fmt.bias,
-                                     n & fmt.sig_mask), flags)
+    if length == precision:
+        # Normal delivery: tiny only before rounding (it rounded up to
+        # the smallest normal), which the "after" convention forgives.
+        if state == _EXACT:
+            flags = _NONE
+        elif tiny_before and cfg.tininess == "before":
+            flags = _TINY_INEXACT
+        else:
+            flags = _INEXACT
+        return OracleResult(
+            sign_bit | ((msb_exp + fmt.bias) << fmt.frac_bits)
+            | (n & fmt.sig_mask), flags)
 
     if q != fmt.emin - (precision - 1):  # pragma: no cover - invariant
         raise AssertionError("subnormal delivered at the wrong granularity")
+    # A subnormal result was tiny under both conventions.
     if cfg.ftz:
-        return OracleResult(fmt.zero_bits(sign),
-                            flags | FPFlag.UNDERFLOW | FPFlag.INEXACT)
-    return OracleResult(fmt.pack(sign, 0, n), flags | FPFlag.DENORMAL_RESULT)
+        return OracleResult(sign_bit, _TINY_INEXACT)
+    return OracleResult(
+        sign_bit | n,
+        _DENORMAL if state == _EXACT else _TINY_INEXACT_DENORMAL)
 
 
-def round_fraction_exact(
-    fmt: FloatFormat, magnitude: Fraction, cfg: OracleConfig, sign: int = 0
+def _round_dyadic(
+    fmt: FloatFormat, cfg: OracleConfig, sign: int, m: int, e: int
 ) -> OracleResult:
-    """Correctly round the positive rational ``magnitude`` into ``fmt``
-    with the exact flag set.  This is the oracle's core primitive."""
-    if magnitude <= 0:
-        raise ValueError("round_fraction_exact needs a positive magnitude")
-    num, den = magnitude.numerator, magnitude.denominator
-    e = _ilog2(num, den)
-    tiny_before = e < fmt.emin
-    q = (fmt.emin if tiny_before else e) - (fmt.precision - 1)
-    # n = floor(magnitude / 2**q), remainder compared against half a ULP.
-    if q >= 0:
-        den <<= q
+    """Correctly round the magnitude ``m * 2**e`` (``m > 0``)."""
+    top = e + m.bit_length() - 1  # exponent of the leading bit
+    tiny_before = top < fmt.emin
+    q = (fmt.emin if tiny_before else top) - (fmt.precision - 1)
+    shift = q - e
+    if shift <= 0:
+        return _finish(fmt, cfg, sign, m << -shift, q, _EXACT, tiny_before)
+    rem = m & ((1 << shift) - 1)
+    half = 1 << (shift - 1)
+    state = (_EXACT if rem == 0
+             else _BELOW_HALF if rem < half
+             else _HALF if rem == half else _ABOVE_HALF)
+    return _finish(fmt, cfg, sign, m >> shift, q, state, tiny_before)
+
+
+def _round_sum(
+    fmt: FloatFormat, cfg: OracleConfig,
+    sa: int, ma: int, ea: int, sb: int, mb: int, eb: int,
+) -> OracleResult:
+    """Correctly round ``±ma * 2**ea ± mb * 2**eb`` (signs ``sa``, ``sb``);
+    an exact zero is a cancellation."""
+    e = min(ea, eb)
+    total = ((-ma if sa else ma) << (ea - e)) + ((-mb if sb else mb) << (eb - e))
+    if total == 0:
+        return OracleResult(fmt.zero_bits(_cancel_zero_sign(cfg)), _NONE)
+    if total < 0:
+        return _round_dyadic(fmt, cfg, 1, -total, e)
+    return _round_dyadic(fmt, cfg, 0, total, e)
+
+
+def _round_ratio(
+    fmt: FloatFormat, cfg: OracleConfig, sign: int, num: int, den: int,
+    e: int,
+) -> OracleResult:
+    """Correctly round the magnitude ``num/den * 2**e`` (both positive)."""
+    top = _ilog2(num, den) + e
+    tiny_before = top < fmt.emin
+    q = (fmt.emin if tiny_before else top) - (fmt.precision - 1)
+    # n = floor(num/den * 2**(e-q)); the remainder against half a ULP.
+    shift = q - e
+    if shift >= 0:
+        den <<= shift
     else:
-        num <<= -q
+        num <<= -shift
     n, rem = divmod(num, den)
     if rem == 0:
         state = _EXACT
@@ -205,194 +294,189 @@ def round_fraction_exact(
     return _finish(fmt, cfg, sign, n, q, state, tiny_before)
 
 
-def _sqrt_exact(fmt: FloatFormat, magnitude: Fraction,
-                cfg: OracleConfig) -> OracleResult:
-    """Correctly round ``sqrt(magnitude)``: integer square root plus
+def _round_sqrt(
+    fmt: FloatFormat, cfg: OracleConfig, m: int, e: int
+) -> OracleResult:
+    """Correctly round ``sqrt(m * 2**e)``: integer square root plus
     exact square comparisons against the halfway point."""
-    num, den = magnitude.numerator, magnitude.denominator
-    e_r = _ilog2(num, den) // 2  # floor exponent of the square root
-    tiny_before = e_r < fmt.emin
-    q = (fmt.emin if tiny_before else e_r) - (fmt.precision - 1)
-    # sqrt(magnitude)/2**q = sqrt(M) with M = magnitude * 4**(-q).
-    if q >= 0:
-        den <<= 2 * q
-    else:
-        num <<= -2 * q
-    # floor(sqrt(num/den)) = floor(isqrt(num*den) / den).
-    n = math.isqrt(num * den) // den
-    if n * n * den == num:
+    top = (e + m.bit_length() - 1) // 2  # floor exponent of the root
+    tiny_before = top < fmt.emin
+    q = (fmt.emin if tiny_before else top) - (fmt.precision - 1)
+    # sqrt(m * 2**e) / 2**q = sqrt(M), M = m * 2**(e - 2q) = num / 2**k.
+    shift = e - 2 * q
+    num, k = (m << shift, 0) if shift >= 0 else (m, -shift)
+    # floor(sqrt(num / 2**k)) = isqrt(floor(num / 2**k)).
+    n = math.isqrt(num >> k)
+    if (n * n) << k == num:
         state = _EXACT
     else:
         # Compare M against (n + 1/2)**2 = (2n+1)**2 / 4.
-        lhs, rhs = 4 * num, (2 * n + 1) ** 2 * den
+        lhs, rhs = 4 * num, (2 * n + 1) ** 2 << k
         state = (_BELOW_HALF if lhs < rhs
                  else _HALF if lhs == rhs else _ABOVE_HALF)
     return _finish(fmt, cfg, 0, n, q, state, tiny_before)
 
 
+def round_fraction_exact(
+    fmt: FloatFormat, magnitude: Rational, cfg: OracleConfig, sign: int = 0
+) -> OracleResult:
+    """Correctly round the positive rational ``magnitude`` (e.g. a
+    ``Fraction``) into ``fmt`` with the exact flag set."""
+    if magnitude <= 0:
+        raise ValueError("round_fraction_exact needs a positive magnitude")
+    return _round_ratio(fmt, cfg, sign, magnitude.numerator,
+                        magnitude.denominator, 0)
+
+
 # ----------------------------------------------------------------------
 # Special-operand policy (independent restatement of the engine's rules)
 # ----------------------------------------------------------------------
-def _propagated_nan(fmt: FloatFormat, *operands: SoftFloat) -> OracleResult:
-    flags = (FPFlag.INVALID
-             if any(x.is_signaling_nan for x in operands) else FPFlag.NONE)
-    for x in operands:
-        if x.is_nan:
-            return OracleResult(x.bits | fmt.quiet_bit, flags)
+def _propagated_nan(
+    fmt: FloatFormat, operands: tuple, classes: tuple
+) -> OracleResult:
+    flags = _INVALID if _SNAN in classes else _NONE
+    for bits, cls in zip(operands, classes):
+        if cls >= _QNAN:
+            return OracleResult(bits | fmt.quiet_bit, flags)
     raise AssertionError("no NaN operand to propagate")
 
 
 def _default_nan(fmt: FloatFormat) -> OracleResult:
-    return OracleResult(fmt.quiet_nan_bits(), FPFlag.INVALID)
-
-
-def _daz(cfg: OracleConfig, x: SoftFloat) -> SoftFloat:
-    if cfg.daz and x.is_subnormal:
-        return SoftFloat.zero(x.fmt, x.sign)
-    return x
+    return OracleResult(fmt.quiet_nan_bits(), _INVALID)
 
 
 def _cancel_zero_sign(cfg: OracleConfig) -> int:
-    return 1 if cfg.rounding is RoundingMode.TOWARD_NEGATIVE else 0
-
-
-def _passthrough(x: SoftFloat) -> OracleResult:
-    return OracleResult(x.bits, FPFlag.NONE)
+    return 1 if cfg.rounding is _RTN else 0
 
 
 # ----------------------------------------------------------------------
-# Operations
+# Operations on encodings
 # ----------------------------------------------------------------------
-def oracle_add(cfg: OracleConfig, a: SoftFloat, b: SoftFloat) -> OracleResult:
-    """Exact-rounding reference for IEEE addition."""
-    fmt = a.fmt
-    if a.is_nan or b.is_nan:
-        return _propagated_nan(fmt, a, b)
-    a, b = _daz(cfg, a), _daz(cfg, b)
-    if a.is_inf or b.is_inf:
-        if a.is_inf and b.is_inf:
-            if a.sign != b.sign:
-                return _default_nan(fmt)
-            return _passthrough(a)
-        return _passthrough(a if a.is_inf else b)
-    if a.is_zero and b.is_zero:
-        if a.sign == b.sign:
-            return _passthrough(a)
-        return OracleResult(fmt.zero_bits(_cancel_zero_sign(cfg)), FPFlag.NONE)
-    if a.is_zero:
-        return _passthrough(b)
-    if b.is_zero:
-        return _passthrough(a)
-    exact = a.to_fraction() + b.to_fraction()
-    if exact == 0:
-        return OracleResult(fmt.zero_bits(_cancel_zero_sign(cfg)), FPFlag.NONE)
-    sign = 1 if exact < 0 else 0
-    return round_fraction_exact(fmt, abs(exact), cfg, sign)
-
-
-def oracle_sub(cfg: OracleConfig, a: SoftFloat, b: SoftFloat) -> OracleResult:
-    """Exact-rounding reference for IEEE subtraction (NaN payloads come
-    from the *original* operands, then ``a + (-b)``)."""
-    if a.is_nan or b.is_nan:
-        return _propagated_nan(a.fmt, a, b)
-    return oracle_add(cfg, a, -b)
-
-
-def oracle_mul(cfg: OracleConfig, a: SoftFloat, b: SoftFloat) -> OracleResult:
-    """Exact-rounding reference for IEEE multiplication."""
-    fmt = a.fmt
-    if a.is_nan or b.is_nan:
-        return _propagated_nan(fmt, a, b)
-    a, b = _daz(cfg, a), _daz(cfg, b)
-    sign = a.sign ^ b.sign
-    if a.is_inf or b.is_inf:
-        if a.is_zero or b.is_zero:
-            return _default_nan(fmt)
-        return OracleResult(fmt.inf_bits(sign), FPFlag.NONE)
-    if a.is_zero or b.is_zero:
-        return OracleResult(fmt.zero_bits(sign), FPFlag.NONE)
-    exact = a.to_fraction() * b.to_fraction()
-    return round_fraction_exact(fmt, abs(exact), cfg, sign)
-
-
-def oracle_div(cfg: OracleConfig, a: SoftFloat, b: SoftFloat) -> OracleResult:
-    """Exact-rounding reference for IEEE division."""
-    fmt = a.fmt
-    if a.is_nan or b.is_nan:
-        return _propagated_nan(fmt, a, b)
-    a, b = _daz(cfg, a), _daz(cfg, b)
-    sign = a.sign ^ b.sign
-    if a.is_inf:
-        if b.is_inf:
-            return _default_nan(fmt)
-        return OracleResult(fmt.inf_bits(sign), FPFlag.NONE)
-    if b.is_inf:
-        return OracleResult(fmt.zero_bits(sign), FPFlag.NONE)
-    if b.is_zero:
-        if a.is_zero:
-            return _default_nan(fmt)
-        return OracleResult(fmt.inf_bits(sign), FPFlag.DIV_BY_ZERO)
-    if a.is_zero:
-        return OracleResult(fmt.zero_bits(sign), FPFlag.NONE)
-    exact = a.to_fraction() / b.to_fraction()
-    return round_fraction_exact(fmt, abs(exact), cfg, sign)
-
-
-def oracle_sqrt(cfg: OracleConfig, a: SoftFloat) -> OracleResult:
-    """Exact-rounding reference for IEEE square root."""
-    fmt = a.fmt
-    if a.is_nan:
-        return _propagated_nan(fmt, a)
-    a = _daz(cfg, a)
-    if a.is_zero:
-        return _passthrough(a)  # sqrt(±0) = ±0
-    if a.sign:
-        return _default_nan(fmt)
-    if a.is_inf:
-        return _passthrough(a)
-    return _sqrt_exact(fmt, a.to_fraction(), cfg)
-
-
-def oracle_fma(
-    cfg: OracleConfig, a: SoftFloat, b: SoftFloat, c: SoftFloat
+def _add(
+    fmt: FloatFormat, cfg: OracleConfig, a: int, b: int, negate_b: int = 0
 ) -> OracleResult:
-    """Exact-rounding reference for fused multiply-add (one rounding)."""
-    fmt = a.fmt
-    if a.is_signaling_nan or b.is_signaling_nan or c.is_signaling_nan:
-        return _propagated_nan(fmt, a, b, c)
-    product_invalid = (a.is_inf and b.is_zero) or (a.is_zero and b.is_inf)
-    if product_invalid and not (a.is_nan or b.is_nan):
-        return _default_nan(fmt)
-    if a.is_nan or b.is_nan or c.is_nan:
-        return _propagated_nan(fmt, a, b, c)
-    a, b, c = _daz(cfg, a), _daz(cfg, b), _daz(cfg, c)
-    psign = a.sign ^ b.sign
-    if a.is_inf or b.is_inf:
-        if c.is_inf and c.sign != psign:
+    """``a + b`` (or ``a - b`` with ``negate_b``: NaN payloads come from
+    the *original* operands, then ``a + (-b)``)."""
+    sa, ca, ma, ea = _decode(fmt, a, cfg.daz)
+    sb, cb, mb, eb = _decode(fmt, b, cfg.daz)
+    if ca >= _QNAN or cb >= _QNAN:
+        return _propagated_nan(fmt, (a, b), (ca, cb))
+    sb ^= negate_b
+    if ca == _INF or cb == _INF:
+        if ca == cb and sa != sb:
             return _default_nan(fmt)
-        return OracleResult(fmt.inf_bits(psign), FPFlag.NONE)
-    if c.is_inf:
-        return _passthrough(c)
-    if a.is_zero or b.is_zero:
-        if c.is_zero:
-            sign = psign if psign == c.sign else _cancel_zero_sign(cfg)
-            return OracleResult(fmt.zero_bits(sign), FPFlag.NONE)
-        return _passthrough(c)
-    exact = a.to_fraction() * b.to_fraction() + c.to_fraction()
-    if exact == 0:
-        return OracleResult(fmt.zero_bits(_cancel_zero_sign(cfg)), FPFlag.NONE)
-    sign = 1 if exact < 0 else 0
-    return round_fraction_exact(fmt, abs(exact), cfg, sign)
+        return OracleResult(fmt.inf_bits(sa if ca == _INF else sb), _NONE)
+    if cb == _ZERO:
+        if ca == _ZERO:
+            sign = sa if sa == sb else _cancel_zero_sign(cfg)
+            return OracleResult(fmt.zero_bits(sign), _NONE)
+        return OracleResult(a, _NONE)
+    if ca == _ZERO:
+        return OracleResult(b ^ (negate_b << (fmt.width - 1)), _NONE)
+    return _round_sum(fmt, cfg, sa, ma, ea, sb, mb, eb)
 
 
-#: Oracle dispatch by operation name.
+def _sub(fmt: FloatFormat, cfg: OracleConfig, a: int, b: int) -> OracleResult:
+    return _add(fmt, cfg, a, b, 1)
+
+
+def _mul(fmt: FloatFormat, cfg: OracleConfig, a: int, b: int) -> OracleResult:
+    sa, ca, ma, ea = _decode(fmt, a, cfg.daz)
+    sb, cb, mb, eb = _decode(fmt, b, cfg.daz)
+    if ca >= _QNAN or cb >= _QNAN:
+        return _propagated_nan(fmt, (a, b), (ca, cb))
+    sign = sa ^ sb
+    if ca == _INF or cb == _INF:
+        if ca == _ZERO or cb == _ZERO:
+            return _default_nan(fmt)
+        return OracleResult(fmt.inf_bits(sign), _NONE)
+    if ca == _ZERO or cb == _ZERO:
+        return OracleResult(fmt.zero_bits(sign), _NONE)
+    return _round_dyadic(fmt, cfg, sign, ma * mb, ea + eb)
+
+
+def _div(fmt: FloatFormat, cfg: OracleConfig, a: int, b: int) -> OracleResult:
+    sa, ca, ma, ea = _decode(fmt, a, cfg.daz)
+    sb, cb, mb, eb = _decode(fmt, b, cfg.daz)
+    if ca >= _QNAN or cb >= _QNAN:
+        return _propagated_nan(fmt, (a, b), (ca, cb))
+    sign = sa ^ sb
+    if ca == _INF:
+        if cb == _INF:
+            return _default_nan(fmt)
+        return OracleResult(fmt.inf_bits(sign), _NONE)
+    if cb == _INF:
+        return OracleResult(fmt.zero_bits(sign), _NONE)
+    if cb == _ZERO:
+        if ca == _ZERO:
+            return _default_nan(fmt)
+        return OracleResult(fmt.inf_bits(sign), _DIV_BY_ZERO)
+    if ca == _ZERO:
+        return OracleResult(fmt.zero_bits(sign), _NONE)
+    return _round_ratio(fmt, cfg, sign, ma, mb, ea - eb)
+
+
+def _sqrt(fmt: FloatFormat, cfg: OracleConfig, a: int) -> OracleResult:
+    sa, ca, ma, ea = _decode(fmt, a, cfg.daz)
+    if ca >= _QNAN:
+        return _propagated_nan(fmt, (a,), (ca,))
+    if ca == _ZERO:
+        return OracleResult(fmt.zero_bits(sa), _NONE)  # sqrt(±0) = ±0
+    if sa:
+        return _default_nan(fmt)
+    if ca == _INF:
+        return OracleResult(a, _NONE)
+    return _round_sqrt(fmt, cfg, ma, ea)
+
+
+def _fma(
+    fmt: FloatFormat, cfg: OracleConfig, a: int, b: int, c: int
+) -> OracleResult:
+    """``a * b + c`` with one rounding."""
+    # Decoded without DAZ first: the 0*inf check sees the raw operands.
+    sa, ca, ma, ea = _decode(fmt, a, False)
+    sb, cb, mb, eb = _decode(fmt, b, False)
+    sc, cc, mc, ec = _decode(fmt, c, False)
+    classes = (ca, cb, cc)
+    if _SNAN in classes:
+        return _propagated_nan(fmt, (a, b, c), classes)
+    if (ca == _INF and cb == _ZERO) or (ca == _ZERO and cb == _INF):
+        return _default_nan(fmt)
+    if ca >= _QNAN or cb >= _QNAN or cc >= _QNAN:
+        return _propagated_nan(fmt, (a, b, c), classes)
+    if cfg.daz:
+        hidden = fmt.hidden_bit
+        if ca == _FINITE and ma < hidden:
+            ca = _ZERO
+        if cb == _FINITE and mb < hidden:
+            cb = _ZERO
+        if cc == _FINITE and mc < hidden:
+            cc = _ZERO
+    psign = sa ^ sb
+    if ca == _INF or cb == _INF:
+        if cc == _INF and sc != psign:
+            return _default_nan(fmt)
+        return OracleResult(fmt.inf_bits(psign), _NONE)
+    if cc == _INF:
+        return OracleResult(c, _NONE)
+    if ca == _ZERO or cb == _ZERO:
+        if cc == _ZERO:
+            sign = psign if psign == sc else _cancel_zero_sign(cfg)
+            return OracleResult(fmt.zero_bits(sign), _NONE)
+        return OracleResult(c, _NONE)
+    if cc == _ZERO:
+        return _round_dyadic(fmt, cfg, psign, ma * mb, ea + eb)
+    return _round_sum(fmt, cfg, psign, ma * mb, ea + eb, sc, mc, ec)
+
+
+#: The oracle's operations on encodings: ``fn(fmt, cfg, *bits)``.
 ORACLE_OPS = {
-    "add": oracle_add,
-    "sub": oracle_sub,
-    "mul": oracle_mul,
-    "div": oracle_div,
-    "sqrt": oracle_sqrt,
-    "fma": oracle_fma,
+    "add": _add,
+    "sub": _sub,
+    "mul": _mul,
+    "div": _div,
+    "sqrt": _sqrt,
+    "fma": _fma,
 }
 
 #: Operand count by operation name.
@@ -400,9 +484,12 @@ OP_ARITY = {"add": 2, "sub": 2, "mul": 2, "div": 2, "sqrt": 1, "fma": 3}
 
 
 def oracle_operation(
-    op: str, cfg: OracleConfig, *operands: SoftFloat
+    op: str, fmt: FloatFormat, cfg: OracleConfig, *operands: int
 ) -> OracleResult:
-    """Run the named operation through the exact-rounding reference."""
+    """Run the named operation through the exact-rounding reference.
+
+    ``operands`` are encodings (bit patterns) in ``fmt``.
+    """
     try:
         fn = ORACLE_OPS[op]
     except KeyError:
@@ -411,4 +498,39 @@ def oracle_operation(
     if len(operands) != OP_ARITY[op]:
         raise ValueError(f"{op} takes {OP_ARITY[op]} operands,"
                          f" got {len(operands)}")
-    return fn(cfg, *operands)
+    return fn(fmt, cfg, *operands)
+
+
+# ----------------------------------------------------------------------
+# SoftFloat adapters
+# ----------------------------------------------------------------------
+def oracle_add(cfg: OracleConfig, a: SoftFloat, b: SoftFloat) -> OracleResult:
+    """Exact-rounding reference for IEEE addition."""
+    return _add(a.fmt, cfg, a.bits, b.bits)
+
+
+def oracle_sub(cfg: OracleConfig, a: SoftFloat, b: SoftFloat) -> OracleResult:
+    """Exact-rounding reference for IEEE subtraction."""
+    return _sub(a.fmt, cfg, a.bits, b.bits)
+
+
+def oracle_mul(cfg: OracleConfig, a: SoftFloat, b: SoftFloat) -> OracleResult:
+    """Exact-rounding reference for IEEE multiplication."""
+    return _mul(a.fmt, cfg, a.bits, b.bits)
+
+
+def oracle_div(cfg: OracleConfig, a: SoftFloat, b: SoftFloat) -> OracleResult:
+    """Exact-rounding reference for IEEE division."""
+    return _div(a.fmt, cfg, a.bits, b.bits)
+
+
+def oracle_sqrt(cfg: OracleConfig, a: SoftFloat) -> OracleResult:
+    """Exact-rounding reference for IEEE square root."""
+    return _sqrt(a.fmt, cfg, a.bits)
+
+
+def oracle_fma(
+    cfg: OracleConfig, a: SoftFloat, b: SoftFloat, c: SoftFloat
+) -> OracleResult:
+    """Exact-rounding reference for fused multiply-add (one rounding)."""
+    return _fma(a.fmt, cfg, a.bits, b.bits, c.bits)

@@ -66,9 +66,10 @@ def oracle_evaluate(
 def _oracle_node(
     op: str, cfg: OracleConfig, env: FPEnv, *operands: SoftFloat
 ) -> SoftFloat:
-    result = oracle_operation(op, cfg, *operands)
+    fmt = operands[0].fmt
+    result = oracle_operation(op, fmt, cfg, *(x.bits for x in operands))
     env.raise_flags(result.flags, op)
-    return result.value(operands[0].fmt)
+    return result.value(fmt)
 
 
 def _eval(

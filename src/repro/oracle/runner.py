@@ -66,7 +66,6 @@ from repro.softfloat.formats import (
     FloatFormat,
 )
 from repro.softfloat.sqrt import fp_sqrt
-from repro.softfloat.value import SoftFloat
 from repro.telemetry import get_telemetry
 
 __all__ = [
@@ -122,6 +121,10 @@ _ENGINE_CHUNK = 4096
 #: stream order.  Bounds memory on large budgets.
 _EVAL_WINDOW = 16 * _ENGINE_CHUNK
 
+#: ``FPFlag`` by flag-byte value: a backend's per-lane flag byte maps
+#: to its flag set by one index instead of one enum construction.
+_FLAGS_BY_VALUE = tuple(FPFlag(value) for value in range(FPFlag.ALL.value + 1))
+
 
 def _engine_results(
     op: str,
@@ -156,10 +159,9 @@ def _engine_results(
                 for slot in range(arity)
             ]
             batch = cell_backend.run_packed(op, fmt, lanes, mode, ftz, daz)
-            for lane, pos in enumerate(chunk):
-                results[pos] = (
-                    int(batch.bits[lane]), FPFlag(int(batch.flags[lane]))
-                )
+            for pos, bits, flags in zip(chunk, batch.bits.tolist(),
+                                        batch.flags.tolist()):
+                results[pos] = (bits, _FLAGS_BY_VALUE[flags])
     return results
 
 
@@ -167,18 +169,13 @@ def _compare(
     op: str,
     fmt: FloatFormat,
     operands: tuple[int, ...],
-    mode: RoundingMode,
-    ftz: bool,
-    daz: bool,
-    tininess: str,
+    cfg: OracleConfig,
     engine_bits: int,
     engine_flags: FPFlag,
 ) -> Discrepancy | None:
     """The oracle half of one evaluation: ``None`` when the engine's
     result bits and sticky flags match the exact oracle's."""
-    cfg = OracleConfig(rounding=mode, ftz=ftz, daz=daz, tininess=tininess)
-    oracle = oracle_operation(
-        op, cfg, *(SoftFloat(fmt, bits) for bits in operands))
+    oracle = oracle_operation(op, fmt, cfg, *operands)
     value_ok = engine_bits == oracle.bits
     flags_ok = engine_flags == oracle.flags
     if value_ok and flags_ok:
@@ -189,10 +186,10 @@ def _compare(
         op=op,
         fmt_name=fmt.name,
         operands=operands,
-        rounding=mode.value,
-        ftz=ftz,
-        daz=daz,
-        tininess=tininess,
+        rounding=cfg.rounding.value,
+        ftz=cfg.ftz,
+        daz=cfg.daz,
+        tininess=cfg.tininess,
         engine_bits=engine_bits,
         oracle_bits=oracle.bits,
         engine_flags=engine_flags,
@@ -215,8 +212,8 @@ def check_case(
     ``None`` means engine == oracle."""
     [(engine_bits, engine_flags)] = _engine_results(
         op, fmt, [(operands, mode, ftz, daz)], get_backend("scalar"))
-    return _compare(op, fmt, operands, mode, ftz, daz, tininess,
-                    engine_bits, engine_flags)
+    cfg = OracleConfig(rounding=mode, ftz=ftz, daz=daz, tininess=tininess)
+    return _compare(op, fmt, operands, cfg, engine_bits, engine_flags)
 
 
 def _shrunk(disc: Discrepancy, fmt: FloatFormat) -> Discrepancy:
@@ -519,6 +516,11 @@ def run_op_slice(
     check_native = native and native_supported(op, fmt)
     stats = OpStats(op=op)
     sink: list[Discrepancy] = []
+    configs = {
+        (mode, ftz, daz): OracleConfig(rounding=mode, ftz=ftz, daz=daz,
+                                       tininess=tininess)
+        for mode, (ftz, daz) in matrix
+    }
 
     with telemetry.tracer.span("oracle.op", op=op, format=fmt.name) as span:
         started = time.perf_counter()
@@ -541,7 +543,7 @@ def run_op_slice(
                 stats.evals += 1
                 if instrumented:
                     check_started = clock()
-                disc = _compare(op, fmt, operands, mode, ftz, daz, tininess,
+                disc = _compare(op, fmt, operands, configs[mode, ftz, daz],
                                 engine_bits, engine_flags)
                 if instrumented:
                     observe_latency(clock() - check_started)

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from repro.fpenv.env import FPEnv
 from repro.fpenv.flags import FPFlag
 from repro.fpenv.rounding import RoundingMode
 from repro.oracle.exact import (
@@ -24,6 +25,7 @@ from repro.oracle.exact import (
     round_fraction_exact,
 )
 from repro.softfloat import BINARY16, BINARY32, BINARY64, SoftFloat, sf
+from repro.softfloat.fma import fp_fma
 from repro.softfloat.formats import TINY8
 
 RNE = OracleConfig()
@@ -217,6 +219,20 @@ class TestFmaSignOfZero:
         # Default NaN, not the payload-99 addend (x86 FMA3 rule).
         assert got.same_bits(SoftFloat.nan(BINARY64))
 
+    @pytest.mark.parametrize("inf_sign", [0, 1])
+    def test_subnormal_times_inf_under_daz_is_inf(self, inf_sign):
+        """The 0*inf check sees the operands *before* DAZ: a subnormal
+        is not zero there, so fma(subnormal, inf, c) is an infinity with
+        no flags, although DAZ then reads the subnormal as zero."""
+        tiny = SoftFloat.min_subnormal(BINARY64)
+        inf = SoftFloat.inf(BINARY64, inf_sign)
+        one = sf(1.0)
+        r = oracle_fma(cfg(daz=True), tiny, inf, one)
+        assert (r.bits, r.flags) == (inf.bits, FPFlag.NONE)
+        env = FPEnv(daz=True)
+        got = fp_fma(tiny, inf, one, env)
+        assert (got.bits, env.flags) == (inf.bits, FPFlag.NONE)
+
     def test_snan_beats_invalid_product(self):
         snan = SoftFloat.signaling_nan(BINARY64, 0, 3)
         r = oracle_fma(RNE, sf(0.0), SoftFloat.inf(BINARY64), snan)
@@ -293,13 +309,13 @@ class TestEnvironmentHandling:
 class TestDispatch:
     def test_unknown_op_rejected(self):
         with pytest.raises(ValueError, match="no operation"):
-            oracle_operation("cbrt", RNE, sf(1.0))
+            oracle_operation("cbrt", BINARY64, RNE, sf(1.0).bits)
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValueError, match="operands"):
-            oracle_operation("add", RNE, sf(1.0))
+            oracle_operation("add", BINARY64, RNE, sf(1.0).bits)
 
     def test_tiny8_dispatch(self):
-        one = SoftFloat.one(TINY8)
-        r = oracle_operation("add", RNE, one, one)
+        one = TINY8.one_bits()
+        r = oracle_operation("add", TINY8, RNE, one, one)
         assert SoftFloat(TINY8, r.bits).to_float() == 2.0

@@ -194,8 +194,7 @@ def test_backends_match_oracle_corpus(fmt, backend_name):
                                tininess="before")
             for lane in range(len(pairs)):
                 operands = tuple(int(arr[lane]) for arr in lanes)
-                oracle = oracle_operation(
-                    op, cfg, *(SoftFloat(fmt, b) for b in operands))
+                oracle = oracle_operation(op, fmt, cfg, *operands)
                 assert int(result.bits[lane]) == oracle.bits, (
                     f"{backend_name} vs oracle bits: {op}/{fmt.name} "
                     f"mode={mode.value} ftz={ftz} daz={daz} "

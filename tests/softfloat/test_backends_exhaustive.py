@@ -24,7 +24,7 @@ import pytest
 from repro.fpenv.flags import FPFlag
 from repro.fpenv.rounding import RoundingMode
 from repro.oracle.exact import OracleConfig, oracle_operation
-from repro.softfloat import TINY8, ScalarBackend, SoftFloat, get_backend
+from repro.softfloat import TINY8, ScalarBackend, get_backend
 from tests.strategies import ENV_MATRIX, special_bits
 
 pytestmark = pytest.mark.slow
@@ -108,10 +108,7 @@ def test_exhaustive_pairs_batch_vs_oracle(op):
                                tininess="before")
             for lane in range(a.shape[0]):
                 oracle = oracle_operation(
-                    op, cfg,
-                    SoftFloat(TINY8, int(a[lane])),
-                    SoftFloat(TINY8, int(b[lane])),
-                )
+                    op, TINY8, cfg, int(a[lane]), int(b[lane]))
                 assert int(got.bits[lane]) == oracle.bits, (
                     op, mode.value, ftz, daz,
                     hex(int(a[lane])), hex(int(b[lane])))
@@ -129,6 +126,6 @@ def test_exhaustive_sqrt_batch_vs_oracle():
                                tininess="before")
             for lane in range(domain.shape[0]):
                 oracle = oracle_operation(
-                    "sqrt", cfg, SoftFloat(TINY8, int(domain[lane])))
+                    "sqrt", TINY8, cfg, int(domain[lane]))
                 assert int(got.bits[lane]) == oracle.bits
                 assert FPFlag(int(got.flags[lane])) == oracle.flags

@@ -171,8 +171,7 @@ def test_subnormal_outputs_roundtrip_both_tininess(fmt, tininess):
     seen_subnormal = False
     for lane in range(a.shape[0]):
         oracle = oracle_operation(
-            "mul", cfg,
-            SoftFloat(fmt, int(a[lane])), SoftFloat(fmt, int(b[lane])))
+            "mul", fmt, cfg, int(a[lane]), int(b[lane]))
         assert oracle.bits == int(batch_res.bits[lane]), (
             tininess, hex(int(a[lane])), hex(int(b[lane])))
         x = SoftFloat(fmt, oracle.bits)

@@ -120,8 +120,8 @@ class TestTininessConventionWitness:
                 b = SoftFloat(TINY8, b_bits)
                 if b.is_nan:
                     continue
-                rb = oracle_operation("mul", before, a, b)
-                ra = oracle_operation("mul", after, a, b)
+                rb = oracle_operation("mul", TINY8, before, a_bits, b_bits)
+                ra = oracle_operation("mul", TINY8, after, a_bits, b_bits)
                 if rb.bits == ra.bits and rb.flags != ra.flags:
                     return a, b, rb, ra
         raise AssertionError("no convention-sensitive pair in TINY8")
