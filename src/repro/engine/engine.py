@@ -25,15 +25,17 @@ import dataclasses
 import time
 import traceback
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.engine.cache import MISS, ResultCache
 from repro.engine.cache import cache_key as compute_cache_key
 from repro.engine.events import PoolStats
-from repro.engine.pool import PoolConfig, WorkerPool
 from repro.engine.tasks import Job, Shard, ShardContext, execute_task
 from repro.errors import EngineError, ShardError
 from repro.telemetry import get_telemetry
+
+if TYPE_CHECKING:  # the pool loads only when one starts
+    from repro.engine.pool import PoolConfig, WorkerPool
 
 __all__ = ["EngineConfig", "Engine", "RunReport", "in_process_engine"]
 
@@ -61,6 +63,8 @@ class EngineConfig:
     cache_path: str | Path | None = None
 
     def pool_config(self) -> PoolConfig:
+        from repro.engine.pool import PoolConfig
+
         return PoolConfig(
             workers=self.workers,
             batch_size=self.batch_size,
@@ -237,6 +241,8 @@ class Engine:
             cached, misses = self._cache_lookup(job)
             parallel = self.config.workers >= 2 and len(misses) > 1
             if parallel:
+                from repro.engine.pool import WorkerPool
+
                 pool = WorkerPool(self.config.pool_config())
                 self._active_pool = pool
                 try:

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import contextlib
 import signal
+import sys
 import threading
 from collections.abc import Iterator
-
-from repro.engine.pool import request_stop_all
 
 __all__ = ["graceful_shutdown"]
 
@@ -54,7 +53,9 @@ def graceful_shutdown(*, drain_timeout: float = 2.0) -> Iterator[bool]:
             raise KeyboardInterrupt if signum == signal.SIGINT \
                 else SystemExit(128 + signum)
         state["fired"] = True
-        stopped = request_stop_all(drain_timeout)
+        # no pool can be active before its module is loaded
+        pool = sys.modules.get("repro.engine.pool")
+        stopped = pool.request_stop_all(drain_timeout) if pool else 0
         if stopped == 0:
             # Nothing to drain: behave like the default handler.
             _restore()

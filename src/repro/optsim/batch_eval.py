@@ -25,7 +25,7 @@ import numpy as np
 from repro.errors import OptimizationError
 from repro.fpenv.flags import FPFlag
 from repro.optsim.ast import FMA, Binary, BinOp, Const, Expr, Unary, UnOp, Var
-from repro.optsim.evaluator import EvalResult
+from repro.optsim.evaluator import EvalResult, const_value
 from repro.optsim.machine import STRICT, MachineConfig
 from repro.softfloat import (
     SoftFloat,
@@ -33,7 +33,6 @@ from repro.softfloat import (
     fp_max,
     fp_min,
     fp_remainder,
-    parse_softfloat,
 )
 from repro.softfloat.backend import SoftFloatBackend, get_backend
 
@@ -194,8 +193,8 @@ def _eval_lanes(
     fmt = config.fmt
     if isinstance(expr, Const):
         # Compile-time constant conversion: quiet, like the evaluator.
-        value = parse_softfloat(expr.literal, fmt)
-        return np.full(n, value.bits, dtype=np.uint64)
+        return np.full(n, const_value(expr.literal, fmt).bits,
+                       dtype=np.uint64)
     if isinstance(expr, Var):
         return var_source(expr.name, flags)
     if isinstance(expr, Unary):

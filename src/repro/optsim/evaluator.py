@@ -14,7 +14,8 @@ applied by :func:`repro.optsim.pipeline.optimize` before evaluation.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Mapping
+import functools
+from collections.abc import Callable, Mapping
 
 from repro.errors import OptimizationError
 from repro.fpenv.env import FPEnv
@@ -23,6 +24,7 @@ from repro.optsim.ast import FMA, Binary, BinOp, Const, Expr, Unary, UnOp, Var
 from repro.optsim.machine import STRICT, MachineConfig
 from repro.softfloat import (
     SoftFloat,
+    convert_format,
     fp_add,
     fp_div,
     fp_fma,
@@ -34,8 +36,9 @@ from repro.softfloat import (
     fp_sub,
     parse_softfloat,
 )
+from repro.softfloat.formats import FloatFormat
 
-__all__ = ["EvalResult", "evaluate", "evaluate_strict", "bind"]
+__all__ = ["EvalResult", "bind", "const_value", "evaluate", "evaluate_strict"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,6 +76,8 @@ def evaluate(
     bindings: Mapping[str, SoftFloat],
     config: MachineConfig = STRICT,
     env: FPEnv | None = None,
+    *,
+    hook: Callable[[Expr, FPFlag], None] | None = None,
 ) -> EvalResult:
     """Interpret ``expr`` under ``config``.
 
@@ -82,9 +87,12 @@ def evaluate(
     created from the config unless ``env`` is supplied (in which case
     flags accumulate there and the config's FTZ/DAZ/rounding are
     *ignored* in favor of the environment's).
+
+    ``hook(node, flags)`` is called after every operation (and every
+    converting variable load) with the flags that node alone raised.
     """
     local_env = env if env is not None else config.fresh_env()
-    value = _eval(expr, bindings, config, local_env)
+    value = _eval(expr, bindings, config, local_env, hook)
     return EvalResult(value=value, flags=local_env.flags, config=config)
 
 
@@ -97,57 +105,73 @@ def evaluate_strict(
     return evaluate(expr, bindings, config)
 
 
+@functools.lru_cache(maxsize=4096)
+def const_value(literal: str, fmt: FloatFormat) -> SoftFloat:
+    """A literal rounded into ``fmt`` quietly, decoded once: constant
+    conversion happens at compile time, so its inexactness is not a
+    runtime exception (itself a documented subtlety)."""
+    return parse_softfloat(literal, fmt)
+
+
+_BINARY_FNS = {
+    BinOp.ADD: fp_add,
+    BinOp.SUB: fp_sub,
+    BinOp.MUL: fp_mul,
+    BinOp.DIV: fp_div,
+    BinOp.REM: fp_remainder,
+    BinOp.MIN: fp_min,
+    BinOp.MAX: fp_max,
+}
+
+
+def _run(hook, node: Expr, env: FPEnv, fn, *args) -> SoftFloat:
+    """``fn(*args, env)``, handing ``hook`` the flags this call alone
+    raised: the sticky flags are set aside, cleared, and ORed back."""
+    if hook is None:
+        return fn(*args, env)
+    saved = env.flags
+    env.flags = FPFlag.NONE
+    try:
+        result = fn(*args, env)
+        hook(node, env.flags)
+    finally:
+        env.flags |= saved
+    return result
+
+
 def _eval(
     expr: Expr,
     bindings: Mapping[str, SoftFloat],
     config: MachineConfig,
     env: FPEnv,
+    hook=None,
 ) -> SoftFloat:
     if isinstance(expr, Const):
-        # Literals are rounded into the destination format quietly:
-        # constant conversion happens at compile time, so its inexactness
-        # is not a runtime exception (itself a documented subtlety).
-        return parse_softfloat(expr.literal, config.fmt)
+        return const_value(expr.literal, config.fmt)
     if isinstance(expr, Var):
         try:
             value = bindings[expr.name]
         except KeyError:
             raise OptimizationError(f"unbound variable {expr.name!r}")
         if value.fmt != config.fmt:
-            from repro.softfloat import convert_format
-
-            value = convert_format(value, config.fmt, env)
+            value = _run(hook, expr, env, convert_format, value, config.fmt)
         return value
+    if isinstance(expr, Binary):
+        left = _eval(expr.left, bindings, config, env, hook)
+        right = _eval(expr.right, bindings, config, env, hook)
+        return _run(hook, expr, env, _BINARY_FNS[expr.op], left, right)
     if isinstance(expr, Unary):
-        operand = _eval(expr.operand, bindings, config, env)
+        operand = _eval(expr.operand, bindings, config, env, hook)
         if expr.op is UnOp.NEG:
             return -operand
         if expr.op is UnOp.ABS:
             return abs(operand)
         if expr.op is UnOp.SQRT:
-            return fp_sqrt(operand, env)
+            return _run(hook, expr, env, fp_sqrt, operand)
         raise AssertionError(f"unhandled unary op {expr.op}")  # pragma: no cover
-    if isinstance(expr, Binary):
-        left = _eval(expr.left, bindings, config, env)
-        right = _eval(expr.right, bindings, config, env)
-        if expr.op is BinOp.ADD:
-            return fp_add(left, right, env)
-        if expr.op is BinOp.SUB:
-            return fp_sub(left, right, env)
-        if expr.op is BinOp.MUL:
-            return fp_mul(left, right, env)
-        if expr.op is BinOp.DIV:
-            return fp_div(left, right, env)
-        if expr.op is BinOp.REM:
-            return fp_remainder(left, right, env)
-        if expr.op is BinOp.MIN:
-            return fp_min(left, right, env)
-        if expr.op is BinOp.MAX:
-            return fp_max(left, right, env)
-        raise AssertionError(f"unhandled binary op {expr.op}")  # pragma: no cover
     if isinstance(expr, FMA):
-        a = _eval(expr.a, bindings, config, env)
-        b = _eval(expr.b, bindings, config, env)
-        c = _eval(expr.c, bindings, config, env)
-        return fp_fma(a, b, c, env)
+        a = _eval(expr.a, bindings, config, env, hook)
+        b = _eval(expr.b, bindings, config, env, hook)
+        c = _eval(expr.c, bindings, config, env, hook)
+        return _run(hook, expr, env, fp_fma, a, b, c)
     raise OptimizationError(f"cannot evaluate node {type(expr).__name__}")

@@ -20,10 +20,10 @@ This module adds the two strategies that close that gap:
   A clean sweep is a proof over the sampled domain: ``safe`` verdicts
   become witness-free facts, not merely unfalsified claims.
 
-Per-node flag attribution uses a capturing evaluator that runs each
-operation in a fresh environment (so the sticky-flag union matches
-:func:`repro.optsim.evaluator.evaluate` exactly) and publishes one
-event per flag-raising node through the active telemetry stream.
+Per-node flag attribution rides on the one scalar evaluator:
+:func:`repro.optsim.evaluator.evaluate` with a per-node ``hook``
+publishes one event per flag-raising node through the active telemetry
+stream.
 """
 
 from __future__ import annotations
@@ -32,34 +32,11 @@ import dataclasses
 import random
 from collections.abc import Mapping, Sequence
 
-from repro.errors import OptimizationError
 from repro.fpenv.flags import FPFlag
-from repro.optsim.ast import (
-    FMA,
-    Binary,
-    BinOp,
-    Const,
-    Expr,
-    Unary,
-    UnOp,
-    Var,
-    expr_variables,
-)
+from repro.optsim.ast import Expr, expr_variables
+from repro.optsim.evaluator import evaluate
 from repro.optsim.machine import STRICT, MachineConfig
-from repro.softfloat import (
-    SoftFloat,
-    convert_format,
-    fp_add,
-    fp_div,
-    fp_fma,
-    fp_max,
-    fp_min,
-    fp_mul,
-    fp_remainder,
-    fp_sqrt,
-    fp_sub,
-    parse_softfloat,
-)
+from repro.softfloat import SoftFloat
 from repro.telemetry import get_telemetry
 from repro.telemetry.events import single_flags
 
@@ -72,76 +49,6 @@ __all__ = [
 ]
 
 _EVENT_PREFIX = "witness"
-
-
-# ----------------------------------------------------------------------
-# Per-node flag capture
-# ----------------------------------------------------------------------
-_BINARY_FNS = {
-    BinOp.ADD: fp_add,
-    BinOp.SUB: fp_sub,
-    BinOp.MUL: fp_mul,
-    BinOp.DIV: fp_div,
-    BinOp.REM: fp_remainder,
-    BinOp.MIN: fp_min,
-    BinOp.MAX: fp_max,
-}
-
-
-def _eval_capture(
-    expr: Expr,
-    bindings: Mapping[str, SoftFloat],
-    config: MachineConfig,
-    emit,
-) -> tuple[SoftFloat, FPFlag]:
-    """Evaluate like :func:`repro.optsim.evaluator.evaluate` but run
-    every operation in a fresh environment, calling ``emit(node,
-    flags)`` with each node's own raised flags.  The returned sticky
-    union is bit-identical to the plain evaluator's."""
-    total = FPFlag.NONE
-
-    def run(node: Expr) -> SoftFloat:
-        nonlocal total
-        if isinstance(node, Const):
-            return parse_softfloat(node.literal, config.fmt)
-        if isinstance(node, Var):
-            try:
-                value = bindings[node.name]
-            except KeyError:
-                raise OptimizationError(f"unbound variable {node.name!r}")
-            if value.fmt != config.fmt:
-                env = config.fresh_env()
-                value = convert_format(value, config.fmt, env)
-                total |= env.flags
-                emit(node, env.flags)
-            return value
-        if isinstance(node, Unary):
-            operand = run(node.operand)
-            if node.op is UnOp.NEG:
-                return -operand
-            if node.op is UnOp.ABS:
-                return abs(operand)
-            env = config.fresh_env()
-            result = fp_sqrt(operand, env)
-        elif isinstance(node, Binary):
-            left = run(node.left)
-            right = run(node.right)
-            env = config.fresh_env()
-            result = _BINARY_FNS[node.op](left, right, env)
-        elif isinstance(node, FMA):
-            a, b, c = run(node.a), run(node.b), run(node.c)
-            env = config.fresh_env()
-            result = fp_fma(a, b, c, env)
-        else:
-            raise OptimizationError(
-                f"cannot evaluate node {type(node).__name__}"
-            )
-        total |= env.flags
-        emit(node, env.flags)
-        return result
-
-    value = run(expr)
-    return value, total
 
 
 # ----------------------------------------------------------------------
@@ -173,18 +80,29 @@ class FlowCoverage:
         optimized: Expr,
         config: MachineConfig,
         bindings: Mapping[str, object] | None = None,
+        *,
+        analysis=None,
+        safety=None,
     ) -> "FlowCoverage":
-        from repro.staticfp.analyze import analyze
+        """``analysis`` (of ``expr``) serves the strict side when it was
+        computed under the strict config, and ``safety``'s the optimized
+        side when it compiled to an equal tree (targets name nodes by
+        rendering, so equal trees give equal targets)."""
+        from repro.staticfp.analyze import analyze, reuse_analysis
 
         strict_config = STRICT.replace(fmt=config.fmt)
+        sides = (
+            ("strict",
+             reuse_analysis(analysis, expr, bindings, strict_config)),
+            ("optimized",
+             safety.analysis
+             if safety is not None and safety.compiled == optimized
+             else analyze(optimized, bindings, config)),
+        )
         targets: set[tuple[str, str, str]] = set()
-        for side, tree, cfg in (
-            ("strict", expr, strict_config),
-            ("optimized", optimized, config),
-        ):
-            analysis = analyze(tree, bindings, cfg)
-            for node in analysis.order:
-                fact = analysis.fact(node)
+        for side, tree_analysis in sides:
+            for node in tree_analysis.order:
+                fact = tree_analysis.fact(node)
                 if fact.op in ("const", "var"):
                     continue
                 for flag in single_flags(fact.may_flags):
@@ -354,6 +272,7 @@ def guided_search(
     bindings: Mapping[str, object] | None = None,
     goals: Sequence["object"] | None = None,
     safety=None,
+    analysis=None,
     seed: int = 754,
     trials: int = 2000,
     check_flags: bool = True,
@@ -362,11 +281,12 @@ def guided_search(
     """Search for a divergence witness inside the analysis-derived
     feasible regions, tracking exception-flow coverage as it goes.
 
-    Every candidate is evaluated with the capturing evaluator on both
-    sides (feeding :class:`FlowCoverage` and the telemetry stream); a
+    Every candidate is evaluated on both sides with a per-node flag
+    hook (feeding :class:`FlowCoverage` and the telemetry stream); a
     hit is re-confirmed with the scalar
     :func:`repro.optsim.compliance.check_binding` before it is
     returned, so a guided witness is verified by construction.
+    ``analysis`` (of ``expr`` under ``config``) is reused, not redone.
     """
     from repro.optsim.compliance import _same_value, check_binding
     from repro.staticfp.regions import divergence_goals, variable_regions
@@ -381,8 +301,12 @@ def guided_search(
 
             base[name] = BitRegion.full(config.fmt)
     if goals is None:
-        goals = divergence_goals(expr, config, bindings, safety=safety)
-    coverage = FlowCoverage.for_search(expr, optimized, config, bindings)
+        goals = divergence_goals(
+            expr, config, bindings, safety=safety, analysis=analysis
+        )
+    coverage = FlowCoverage.for_search(
+        expr, optimized, config, bindings, analysis=analysis, safety=safety
+    )
 
     telemetry = get_telemetry()
     stream = telemetry.stream if telemetry.enabled else None
@@ -400,6 +324,7 @@ def guided_search(
 
         return emit
 
+    strict_emit, optimized_emit = emitter("strict"), emitter("optimized")
     strict_config = STRICT.replace(fmt=config.fmt)
     rng = random.Random(seed)
     evals = 0
@@ -411,14 +336,10 @@ def guided_search(
             if evals >= trials:
                 break
             evals += 1
-            strict_value, strict_flags = _eval_capture(
-                expr, binding, strict_config, emitter("strict")
-            )
-            opt_value, opt_flags = _eval_capture(
-                optimized, binding, config, emitter("optimized")
-            )
-            value_diverged = not _same_value(strict_value, opt_value)
-            flags_diverged = strict_flags != opt_flags
+            strict = evaluate(expr, binding, strict_config, hook=strict_emit)
+            opt = evaluate(optimized, binding, config, hook=optimized_emit)
+            value_diverged = not _same_value(strict.value, opt.value)
+            flags_diverged = strict.flags != opt.flags
             if value_diverged or (check_flags and flags_diverged):
                 strict, opt, vdiv, fdiv = check_binding(
                     expr, optimized, binding, config

@@ -53,6 +53,7 @@ __all__ = [
     "AbsorptionInfo",
     "analyze",
     "as_abstract",
+    "reuse_analysis",
 ]
 
 _BINOP_NAMES = {
@@ -220,6 +221,22 @@ def analyze(
             "staticfp.nodes_analyzed_total", config=config.name
         ).inc(len(analysis.order))
         return analysis
+
+
+def reuse_analysis(
+    analysis: Analysis | None,
+    expr: Expr,
+    bindings: Mapping[str, object] | None,
+    config: MachineConfig,
+) -> Analysis:
+    """``analysis`` if it was computed for this very tree object under
+    ``config`` (facts are keyed on node identity, so never reuse by tree
+    equality; the caller vouches for ``bindings``), else :func:`analyze`.
+    """
+    if analysis is not None and analysis.expr is expr \
+            and analysis.config == config:
+        return analysis
+    return analyze(expr, bindings, config)
 
 
 def _run(

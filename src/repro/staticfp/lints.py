@@ -22,7 +22,7 @@ from repro.optsim.ast import Binary, BinOp, Const, Expr, Var
 from repro.optsim.compliance import is_standard_compliant
 from repro.optsim.machine import STRICT, MachineConfig
 from repro.optsim.parser import parse_expr
-from repro.staticfp.analyze import Analysis, NodeFact, analyze
+from repro.staticfp.analyze import Analysis, NodeFact, analyze, as_abstract
 from repro.staticfp.safety import SafetyReport, predict_pass_safety
 from repro.telemetry import get_telemetry
 
@@ -148,10 +148,17 @@ def lint(
     with telemetry.tracer.span(
         "staticfp.lint", expr=str(expr), config=config.name
     ) as span:
+        if bindings:
+            bindings = {
+                name: as_abstract(value, config.fmt)
+                for name, value in bindings.items()
+            }
         analysis = analyze(
             expr, bindings, config, assume_nan_inputs=assume_nan_inputs
         )
-        safety = predict_pass_safety(expr, config, bindings)
+        # the one analysis every later stage reuses (theirs admit no NaN)
+        shared = None if assume_nan_inputs else analysis
+        safety = predict_pass_safety(expr, config, bindings, analysis=shared)
         witness_report = None
         if witness and not safety.flags_safe:
             from repro.staticfp.witness import find_witness
@@ -159,7 +166,7 @@ def lint(
             witness_report = find_witness(
                 expr, config, bindings,
                 strategy=witness_strategy, trials=witness_trials,
-                safety=safety, expect_safe=False,
+                safety=safety, analysis=shared, expect_safe=False,
             )
             safety = safety.with_witness(witness_report)
             span.set("witness_outcome", witness_report.outcome)

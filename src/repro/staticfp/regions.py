@@ -42,7 +42,7 @@ from repro.optsim.machine import MachineConfig
 from repro.softfloat import SoftFloat, next_down, next_up, special_values
 from repro.softfloat.directed import probe_op
 from repro.softfloat.formats import FloatFormat
-from repro.staticfp.analyze import Analysis, analyze, as_abstract
+from repro.staticfp.analyze import Analysis, as_abstract, reuse_analysis
 from repro.staticfp.domain import (
     AbstractValue,
     _le,
@@ -614,6 +614,7 @@ def divergence_goals(
     bindings: Mapping[str, object] | None = None,
     *,
     safety=None,
+    analysis: Analysis | None = None,
     max_goals: int = 32,
 ) -> tuple[SearchGoal, ...]:
     """Derive the guided search's goal list for one expression/config.
@@ -624,15 +625,17 @@ def divergence_goals(
     reassociation, the whole admitted space for contraction — any
     inexact product exposes the removed rounding), and the exception
     flows (per-node OVERFLOW / UNDERFLOW / DIV_BY_ZERO / INVALID
-    preconditions, backward-refined to the variables).
+    preconditions, backward-refined to the variables).  ``analysis``
+    (of ``expr`` under ``config``) is reused, not redone.
     """
     from repro.staticfp.safety import predict_pass_safety
 
     if safety is None:
-        safety = predict_pass_safety(expr, config, bindings)
+        safety = predict_pass_safety(expr, config, bindings,
+                                     analysis=analysis)
     fmt = config.fmt
     base = variable_regions(expr, config, bindings)
-    analysis = analyze(expr, bindings, config)
+    analysis = reuse_analysis(analysis, expr, bindings, config)
     goals: list[SearchGoal] = []
     seen: set[str] = set()
 
@@ -669,7 +672,9 @@ def divergence_goals(
                 "contraction removes the product rounding; any inexact"
                 " admitted product exposes it")
             continue
-        before_analysis = analyze(verdict.before, bindings, config)
+        before_analysis = reuse_analysis(
+            analysis, verdict.before, bindings, config
+        )
         for node in before_analysis.order:
             fact = before_analysis.fact(node)
             info = fact.cancellation

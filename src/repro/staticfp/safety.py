@@ -26,7 +26,7 @@ from repro.optsim.evaluator import evaluate
 from repro.optsim.machine import STRICT, MachineConfig
 from repro.optsim.pipeline import _MAX_ITERATIONS, enabled_passes
 from repro.softfloat import SoftFloat
-from repro.staticfp.analyze import Analysis, analyze
+from repro.staticfp.analyze import Analysis, analyze, reuse_analysis
 
 __all__ = [
     "PassVerdict",
@@ -134,13 +134,16 @@ def predict_pass_safety(
     expr: Expr,
     config: MachineConfig,
     bindings: Mapping[str, object] | None = None,
+    *,
+    analysis: Analysis | None = None,
 ) -> SafetyReport:
     """Statically classify every licensed pass application on ``expr``.
 
     Replays the pipeline's fixed-point loop pass by pass, classifying
     each application; verdicts for a pass that fired in several
     iterations are merged conservatively (any unsafe application makes
-    the pass unsafe).
+    the pass unsafe).  A pass that does not rewrite keeps the tree
+    object, so ``analysis`` (of ``expr``) serves an unrewritten tree.
     """
     active = enabled_passes(config)
     merged: dict[str, PassVerdict] = {
@@ -161,10 +164,10 @@ def predict_pass_safety(
                     pass_, current, rewritten, config, point_bindings
                 )
                 merged[pass_.name] = _merge(merged[pass_.name], verdict)
-            current = rewritten
+                current = rewritten
         if current == previous:
             break
-    analysis = analyze(current, bindings, config)
+    analysis = reuse_analysis(analysis, current, bindings, config)
     env_value, env_flags, env_reason = _env_verdict(analysis, config)
     return SafetyReport(
         expr=expr,

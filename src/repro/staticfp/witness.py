@@ -34,7 +34,7 @@ from collections.abc import Mapping, Sequence
 
 from repro.fpenv.flags import FPFlag, flag_names
 from repro.fpenv.rounding import RoundingMode
-from repro.optsim.ast import Expr, unique_size, walk_unique
+from repro.optsim.ast import Const, Expr, unique_size, walk_unique
 from repro.optsim.evaluator import EvalResult, evaluate
 from repro.optsim.machine import STRICT, MachineConfig
 from repro.optsim.pipeline import enabled_passes, optimize
@@ -127,7 +127,7 @@ def _env_site(
     strict_config = STRICT.replace(fmt=config.fmt)
     smallest: Expr | None = None
     for node in walk_unique(optimized):
-        if node.children() == () and not _node_reads_env(node):
+        if isinstance(node, Const):
             continue
         strict = evaluate(node, binding, strict_config)
         under = evaluate(node, binding, config)
@@ -135,12 +135,6 @@ def _env_site(
             if smallest is None or unique_size(node) < unique_size(smallest):
                 smallest = node
     return str(smallest) if smallest is not None else None
-
-
-def _node_reads_env(node: Expr) -> bool:
-    from repro.optsim.ast import Var
-
-    return isinstance(node, Var)
 
 
 def _minimal_rewrite_pair(
@@ -523,6 +517,7 @@ def find_witness(
     check_flags: bool = True,
     localize: bool = True,
     safety=None,
+    analysis=None,
     expect_safe: bool | None = None,
     max_states: int = _EXHAUSTIVE_MAX_STATES,
 ) -> WitnessReport:
@@ -533,7 +528,8 @@ def find_witness(
     ``"exhaustive"`` (full enumeration — small formats only).
     ``expect_safe`` tells an exhaustive clean sweep how to label
     itself: confirmation of a safe verdict (``proved-safe``) or
-    refutation of an unsafe one (``refuted``).
+    refutation of an unsafe one (``refuted``).  ``safety`` and
+    ``analysis`` (of ``expr``) are handed on to the guided search.
     """
     from repro.optsim.guided import exhaustive_sweep, guided_search
 
@@ -570,7 +566,8 @@ def find_witness(
     if strategy == "guided":
         result = guided_search(
             expr, optimized, config, bindings=bindings, safety=safety,
-            seed=seed, trials=trials, check_flags=check_flags,
+            analysis=analysis, seed=seed, trials=trials,
+            check_flags=check_flags,
         )
         if result.witness is not None:
             witness = _seal(

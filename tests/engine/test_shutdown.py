@@ -10,8 +10,12 @@ from a known point.
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -165,3 +169,31 @@ class TestGracefulShutdownSignals:
         thread.start()
         thread.join()
         assert seen["installed"] is False
+
+
+class TestSerialRunsStayOffThePool:
+    def test_serial_sweep_never_imports_the_pool(self):
+        """An in-process sweep under graceful_shutdown() loads neither
+        the worker pool nor multiprocessing (a fresh interpreter, so
+        this suite's own imports do not count)."""
+        script = textwrap.dedent("""
+            import sys
+            from repro.engine import graceful_shutdown
+            from repro.oracle.runner import run_conformance
+            from repro.softfloat.formats import BINARY16
+
+            with graceful_shutdown():
+                report = run_conformance(BINARY16, ["add"], budget=200)
+            assert report.total_evals == 200, report.total_evals
+            loaded = [name for name in ("repro.engine.pool",
+                                        "multiprocessing")
+                      if name in sys.modules]
+            print(",".join(loaded) or "none")
+        """)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        ).stdout
+        assert out.strip() == "none", out
