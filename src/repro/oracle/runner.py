@@ -52,7 +52,12 @@ from repro.oracle.native import (
 from repro.oracle.report import ConformanceReport, Discrepancy, OpStats
 from repro.oracle.shrink import shrink_case
 from repro.softfloat.arith import fp_add, fp_div, fp_mul, fp_sub
-from repro.softfloat.backend import get_backend, lane_dtype
+from repro.softfloat.backend import (
+    MODE_CODES,
+    AutoBackend,
+    get_backend,
+    lane_dtype,
+)
 from repro.softfloat.fma import fp_fma
 from repro.softfloat.formats import (
     BFLOAT16,
@@ -126,6 +131,16 @@ _EVAL_WINDOW = 16 * _ENGINE_CHUNK
 _FLAGS_BY_VALUE = tuple(FPFlag(value) for value in range(FPFlag.ALL.value + 1))
 
 
+def _tier(backend, op: str, fmt: FloatFormat, cell: tuple):
+    """The backend that serves one (mode, FTZ, DAZ) cell's lanes: what
+    ``auto`` selects, else ``backend`` itself where it supports the
+    cell and the scalar reference where it does not."""
+    if isinstance(backend, AutoBackend):
+        return backend.select(op, fmt, *cell)
+    return (backend if backend.supports(op, fmt, *cell)
+            else get_backend("scalar"))
+
+
 def _engine_results(
     op: str,
     fmt: FloatFormat,
@@ -134,31 +149,60 @@ def _engine_results(
 ) -> list[tuple[int, FPFlag]]:
     """The engine side of ``evals``, computed through a softfloat backend.
 
-    Rows end in ``(operands, mode, ftz, daz)``.  Evaluations are grouped
-    by environment — one ``run_packed`` call handles a whole (mode,
-    FTZ, DAZ) cell at a time — and results come back aligned with
-    ``evals`` as ``(bits, FPFlag)`` pairs.  Cells the backend does not
-    support (e.g. binary128 on the integer-lane batch kernels) run on
-    :class:`~repro.softfloat.backend.ScalarBackend`, which supports
+    Rows end in ``(operands, mode, ftz, daz)``.  Rows are grouped by the
+    *tier* that serves their cell (:func:`_tier`), not by cell, and each
+    tier gets one ``run_packed`` call per :data:`_ENGINE_CHUNK` lanes —
+    through ``backend`` when it is ``auto`` (so its dispatch and
+    counters see every call), else through the tier itself.  A group
+    whose rows share one cell passes the environment as single values;
+    a mixed group passes it as lanes (mode codes and FTZ/DAZ bools, see
+    :mod:`repro.softfloat.backend`), which ``auto`` routes to the same
+    tier its cells select one by one.  So every lane is served by the
+    tier a per-cell call would use, and only the number of calls
+    depends on how many cells a window holds.  Cells the backend does
+    not support (e.g. binary128 on the integer-lane batch kernels) run
+    on :class:`~repro.softfloat.backend.ScalarBackend`, which supports
     every op and format, so the differential verdict never depends on
-    backend coverage.
+    backend coverage.  Results come back aligned with ``evals`` as
+    ``(bits, FPFlag)`` pairs.
     """
-    results: list = [None] * len(evals)
-    groups: dict[tuple, list[int]] = {}
+    cells: dict[tuple, list[int]] = {}
     for pos, row in enumerate(evals):
-        groups.setdefault(row[-3:], []).append(pos)
+        cells.setdefault(row[-3:], []).append(pos)
+    tiers: dict[object, list[tuple]] = {}
+    for cell, positions in cells.items():
+        tiers.setdefault(_tier(backend, op, fmt, cell), []).append(
+            (cell, positions))
+
+    results: list = [None] * len(evals)
     arity = OP_ARITY[op]
     dtype = lane_dtype(fmt)
-    for (mode, ftz, daz), positions in groups.items():
-        cell_backend = (backend if backend.supports(op, fmt, mode, ftz, daz)
-                        else get_backend("scalar"))
+    via_auto = isinstance(backend, AutoBackend)
+    for tier, group in tiers.items():
+        caller = backend if via_auto else tier
+        positions = [pos for _, cell_positions in group
+                     for pos in cell_positions]
+        if len(group) == 1:
+            env = group[0][0]
+        else:
+            counts = [len(cell_positions) for _, cell_positions in group]
+            modes, ftzs, dazs = zip(*(cell for cell, _ in group))
+            env = (
+                np.repeat(np.array([MODE_CODES[m] for m in modes],
+                                   dtype=np.uint8), counts),
+                np.repeat(np.array(ftzs, dtype=bool), counts),
+                np.repeat(np.array(dazs, dtype=bool), counts),
+            )
         for start in range(0, len(positions), _ENGINE_CHUNK):
-            chunk = positions[start:start + _ENGINE_CHUNK]
+            stop = start + _ENGINE_CHUNK
+            chunk = positions[start:stop]
             lanes = [
                 np.array([evals[pos][-4][slot] for pos in chunk], dtype=dtype)
                 for slot in range(arity)
             ]
-            batch = cell_backend.run_packed(op, fmt, lanes, mode, ftz, daz)
+            chunk_env = (env if len(group) == 1
+                         else tuple(column[start:stop] for column in env))
+            batch = caller.run_packed(op, fmt, lanes, *chunk_env)
             for pos, bits, flags in zip(chunk, batch.bits.tolist(),
                                         batch.flags.tolist()):
                 results[pos] = (bits, _FLAGS_BY_VALUE[flags])
@@ -497,8 +541,9 @@ def run_op_slice(
     ``max_discrepancies`` discrepancies are shrunk and returned.
 
     The engine side of each window of evaluations is computed through
-    the ``engine_backend`` in bulk (grouped by rounding/FTZ/DAZ cell),
-    then the oracle comparison replays the window in stream order.
+    the ``engine_backend`` in bulk (one call per serving tier, see
+    :func:`_engine_results`), then the oracle comparison replays the
+    window in stream order.
     ``engine_backend`` never changes *which* evaluations a slice
     performs, only how the engine side is computed.  With telemetry
     enabled each evaluation's oracle half is timed into the

@@ -27,13 +27,27 @@ differential harness in ``tests/softfloat/test_backends.py`` enforces
 this against the exact-rational oracle; a backend that cannot guarantee
 identity for a combination must return ``False`` from
 :meth:`SoftFloatBackend.supports` for it.
+
+The environment may travel as lanes
+-----------------------------------
+``mode``, ``ftz`` and ``daz`` are each either one value for the whole
+call (a :class:`RoundingMode`, a ``bool``) or an array with one entry
+per lane: ``mode`` as a ``uint8`` array of :data:`MODE_CODES`, ``ftz``
+and ``daz`` as ``bool`` arrays.  Either way each lane is evaluated as if
+on a fresh environment with its own mode and FTZ/DAZ bits, so one call
+can serve a whole rounding × FTZ × DAZ matrix.  Lane arrays are plain
+data: ``if ftz:`` raises on one and ``mode is X`` is always False, so
+code that branches on the environment tests :func:`is_lane_env` (or
+``isinstance(..., np.ndarray)``) first.  ``supports`` answers for a lane
+environment as a whole; the native tier declines every one.
 """
 
 from __future__ import annotations
 
 import abc
 import dataclasses
-from collections.abc import Sequence
+import itertools
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -59,7 +73,11 @@ __all__ = [
     "SoftFloatBackend",
     "ScalarBackend",
     "AutoBackend",
+    "MODE_CODES",
+    "MODES_BY_CODE",
+    "is_lane_env",
     "lane_dtype",
+    "lane_env",
     "available_backends",
     "get_backend",
 ]
@@ -96,7 +114,51 @@ BACKEND_OP_ARITY: dict[str, int] = {
 #: ``UNORDERED`` is ``None``).
 ORD_LESS, ORD_EQUAL, ORD_GREATER, ORD_UNORDERED = 0, 1, 2, 3
 
+#: Rounding mode by lane code, and the code of each mode: the ``uint8``
+#: values a lane-array ``mode`` argument carries.
+MODES_BY_CODE: tuple[RoundingMode, ...] = tuple(RoundingMode)
+MODE_CODES: dict[RoundingMode, int] = {
+    mode: code for code, mode in enumerate(MODES_BY_CODE)
+}
+
 _SCALAR_KERNELS = {**_ARITH_KERNELS, **_FMA_KERNELS, **_SQRT_KERNELS}
+
+
+def is_lane_env(mode, ftz, daz) -> bool:
+    """True when any environment argument is a lane array rather than
+    one value for the whole call."""
+    return (isinstance(mode, np.ndarray) or isinstance(ftz, np.ndarray)
+            or isinstance(daz, np.ndarray))
+
+
+def lane_env(n: int, mode, ftz, daz) -> tuple:
+    """Check an environment for an ``n``-lane call and return it with
+    its lane arrays coerced (``mode`` to ``uint8`` codes, ``ftz`` and
+    ``daz`` to ``bool``); single values pass through unchanged."""
+    if not is_lane_env(mode, ftz, daz):
+        return mode, ftz, daz
+    out = []
+    for name, value, dtype in (("mode", mode, np.uint8), ("ftz", ftz, bool),
+                               ("daz", daz, bool)):
+        if isinstance(value, np.ndarray):
+            if value.shape != (n,):
+                raise ValueError(
+                    f"{name} lanes have shape {value.shape}, operands have {n}")
+            value = value.astype(dtype, copy=False)
+        out.append(value)
+    return tuple(out)
+
+
+def _fresh_envs(n: int, mode, ftz, daz) -> Iterator[FPEnv]:
+    """One fresh :class:`FPEnv` per lane, from one value or a lane
+    array per environment argument."""
+    mode, ftz, daz = lane_env(n, mode, ftz, daz)
+    modes = ([MODES_BY_CODE[code] for code in mode.tolist()]
+             if isinstance(mode, np.ndarray) else itertools.repeat(mode, n))
+    ftzs = ftz.tolist() if isinstance(ftz, np.ndarray) else itertools.repeat(ftz, n)
+    dazs = daz.tolist() if isinstance(daz, np.ndarray) else itertools.repeat(daz, n)
+    return (FPEnv(rounding=lane_mode, ftz=lane_ftz, daz=lane_daz)
+            for lane_mode, lane_ftz, lane_daz in zip(modes, ftzs, dazs))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -159,7 +221,10 @@ class SoftFloatBackend(abc.ABC):
         ``operands`` holds one ``uint64`` array per operand (lengths
         equal); each lane is evaluated as if on a fresh environment with
         the given mode and FTZ/DAZ bits, and its sticky flags are
-        delivered as a ``uint8`` lane in the result.
+        delivered as a ``uint8`` lane in the result.  ``mode``, ``ftz``
+        and ``daz`` are each one value for every lane or a lane array
+        of the operands' length (:data:`MODE_CODES` for ``mode``,
+        ``bool`` for the flush bits); see the module docstring.
         """
 
     # Convenience shared by implementations and tests -----------------
@@ -217,10 +282,11 @@ class ScalarBackend(SoftFloatBackend):
         bits_out = np.zeros(n, dtype=lane_type)
         flags_out = np.zeros(n, dtype=np.uint8)
 
+        envs = _fresh_envs(n, mode, ftz, daz)
+
         if op in ("compare_quiet", "compare_signaling"):
             signaling = op == "compare_signaling"
-            for i in range(n):
-                env = FPEnv(rounding=mode, ftz=ftz, daz=daz)
+            for i, env in enumerate(envs):
                 a = SoftFloat(fmt, int(arrays[0][i]))
                 b = SoftFloat(fmt, int(arrays[1][i]))
                 bits_out[i] = compare_code(a, b, env, signaling=signaling)
@@ -230,15 +296,13 @@ class ScalarBackend(SoftFloatBackend):
         if op == "convert":
             if dst_fmt is None:
                 raise ValueError("convert requires dst_fmt")
-            for i in range(n):
-                env = FPEnv(rounding=mode, ftz=ftz, daz=daz)
+            for i, env in enumerate(envs):
                 bits_out[i] = convert_bits(int(arrays[0][i]), fmt, dst_fmt, env)
                 flags_out[i] = env.flags.value
             return BatchResult(bits_out, flags_out)
 
         kernel = _SCALAR_KERNELS[op]
-        for i in range(n):
-            env = FPEnv(rounding=mode, ftz=ftz, daz=daz)
+        for i, env in enumerate(envs):
             args = [SoftFloat(fmt, int(a[i])) for a in arrays]
             bits_out[i] = kernel(*args, env).bits
             flags_out[i] = env.flags.value
@@ -250,8 +314,9 @@ class AutoBackend(SoftFloatBackend):
     the scalar reference.  Always supports everything the scalar does.
 
     With telemetry enabled, each call counts its lanes under
-    ``softfloat.lanes_total{op,format,backend}`` (the tier that served
-    them).
+    ``softfloat.lanes_total{op,format,backend}`` and itself under
+    ``softfloat.calls_total{op,format,backend}`` (the tier that served
+    it), so lanes per call read straight off a metrics snapshot.
     """
 
     name = "auto"
@@ -272,7 +337,9 @@ class AutoBackend(SoftFloatBackend):
         daz: bool,
         dst_fmt: FloatFormat | None = None,
     ) -> SoftFloatBackend:
-        """The backend this combination will actually run on."""
+        """The backend this combination will actually run on.  A lane
+        environment is one combination: native declines it, so it runs
+        on batch where batch covers the op and format, else scalar."""
         for backend in self._chain:
             if backend.supports(op, fmt, mode, ftz, daz, dst_fmt):
                 return backend
@@ -302,10 +369,10 @@ class AutoBackend(SoftFloatBackend):
         backend = self.select(op, fmt, mode, ftz, daz, dst_fmt)
         telemetry = get_telemetry()
         if telemetry.enabled:
+            labels = {"op": op, "format": fmt.name, "backend": backend.name}
             telemetry.metrics.counter(
-                "softfloat.lanes_total", op=op, format=fmt.name,
-                backend=backend.name,
-            ).inc(len(operands[0]))
+                "softfloat.lanes_total", **labels).inc(len(operands[0]))
+            telemetry.metrics.counter("softfloat.calls_total", **labels).inc()
         return backend.run_packed(op, fmt, operands, mode, ftz, daz, dst_fmt)
 
 

@@ -59,6 +59,13 @@ The vectorized :func:`_round_pack` mirrors ``round_and_pack`` branch for
 branch (tininess before rounding, underflow only when tiny *and*
 inexact, FTZ flushing, per-mode overflow saturation), with dead lanes
 masked via safe substitute values.
+
+The environment reaches four helpers and no other code:
+:func:`_rounds_away`, :func:`_round_pack` (overflow saturation and the
+FTZ branch), :func:`_daz` and :func:`_exact_zero_bits`.  Each takes the
+mode and flush bits either as one value or as lane arrays (see
+:mod:`repro.softfloat.backend`); the one-value form keeps its scalar
+branches, so a uniform call costs what it did before lanes existed.
 """
 
 from __future__ import annotations
@@ -71,12 +78,14 @@ import numpy as np
 from repro.fpenv.flags import FPFlag
 from repro.fpenv.rounding import RoundingMode
 from repro.softfloat.backend import (
+    MODE_CODES,
     ORD_EQUAL,
     ORD_GREATER,
     ORD_LESS,
     ORD_UNORDERED,
     BatchResult,
     SoftFloatBackend,
+    lane_env,
 )
 from repro.softfloat.formats import FloatFormat
 
@@ -96,6 +105,12 @@ _LO32 = U64(0xFFFFFFFF)
 
 #: Alignment window of :func:`_signed_sum` (see the module docstring).
 _WINDOW = 116
+
+_RNE = MODE_CODES[RoundingMode.NEAREST_EVEN]
+_RNA = MODE_CODES[RoundingMode.NEAREST_AWAY]
+_RTZ = MODE_CODES[RoundingMode.TOWARD_ZERO]
+_RTP = MODE_CODES[RoundingMode.TOWARD_POSITIVE]
+_RTN = MODE_CODES[RoundingMode.TOWARD_NEGATIVE]
 
 
 # ----------------------------------------------------------------------
@@ -199,16 +214,24 @@ def _normalize(
 
 
 def _rounds_away(
-    mode: RoundingMode,
+    mode: RoundingMode | np.ndarray,
     sign: np.ndarray,
     lsb: np.ndarray,
     round_bit: np.ndarray,
     sticky: np.ndarray,
 ) -> np.ndarray:
     """Vectorized :meth:`RoundingMode.rounds_away` (sign/lsb/round_bit
-    are uint64 0-or-more lanes, sticky is boolean)."""
+    are uint64 0-or-more lanes, sticky is boolean; ``mode`` is one mode
+    or a lane array of mode codes)."""
     rb = round_bit != 0
     inexact = rb | sticky
+    if isinstance(mode, np.ndarray):
+        return _select(
+            [mode == _RNE, mode == _RNA, mode == _RTP, mode == _RTN],
+            [rb & (sticky | (lsb != 0)), rb, inexact & (sign == 0),
+             inexact & (sign == 1)],
+            default=np.zeros_like(rb),
+        )
     if mode is RoundingMode.NEAREST_EVEN:
         return rb & (sticky | (lsb != 0))
     if mode is RoundingMode.NEAREST_AWAY:
@@ -222,10 +245,35 @@ def _rounds_away(
     raise AssertionError(f"unhandled rounding mode {mode!r}")
 
 
+def _overflow_bits(
+    fmt: FloatFormat, mode: RoundingMode | np.ndarray, sign: np.ndarray,
+    signbit: np.ndarray,
+) -> np.ndarray:
+    """Per-mode overflow saturation: infinity, or the largest finite
+    value of the result's sign where the mode rounds that sign toward
+    zero."""
+    if isinstance(mode, np.ndarray):
+        to_inf = _select(
+            [mode == _RTZ, mode == _RTP, mode == _RTN],
+            [False, sign == 0, sign == 1],
+            default=np.ones(sign.shape, dtype=bool),
+        )
+        return signbit | np.where(
+            to_inf, U64(fmt.inf_bits(0)), U64(fmt.max_finite_bits(0)))
+    if mode.is_nearest:
+        return signbit | U64(fmt.inf_bits(0))
+    if mode is RoundingMode.TOWARD_ZERO:
+        return signbit | U64(fmt.max_finite_bits(0))
+    if mode is RoundingMode.TOWARD_POSITIVE:
+        return np.where(
+            sign == 0, U64(fmt.inf_bits(0)), U64(fmt.max_finite_bits(1)))
+    return np.where(sign == 1, U64(fmt.inf_bits(1)), U64(fmt.max_finite_bits(0)))
+
+
 def _round_pack(
     fmt: FloatFormat,
-    mode: RoundingMode,
-    ftz: bool,
+    mode: RoundingMode | np.ndarray,
+    ftz: bool | np.ndarray,
     sign: np.ndarray,
     mant: np.ndarray,
     exp2: np.ndarray,
@@ -236,7 +284,8 @@ def _round_pack(
     (+ sticky)`` into ``fmt``, delivering (bits, flag bytes).
 
     ``mant`` must be positive and below ``2**61`` on live lanes; dead
-    lanes produce zeros in both outputs.
+    lanes produce zeros in both outputs.  ``mode`` and ``ftz`` are one
+    value or lane arrays.
     """
     n = mant.shape[0]
     p = fmt.precision
@@ -281,24 +330,17 @@ def _round_pack(
     subnormal = (~is_zero) & (~overflow) & (kbl < p)
 
     signbit = sign << U64(fmt.width - 1)
-    if mode.is_nearest:
-        ovf_bits = signbit | U64(fmt.inf_bits(0))
-    elif mode is RoundingMode.TOWARD_ZERO:
-        ovf_bits = signbit | U64(fmt.max_finite_bits(0))
-    elif mode is RoundingMode.TOWARD_POSITIVE:
-        ovf_bits = np.where(
-            sign == 0, U64(fmt.inf_bits(0)), U64(fmt.max_finite_bits(1))
-        )
-    else:  # TOWARD_NEGATIVE
-        ovf_bits = np.where(
-            sign == 1, U64(fmt.inf_bits(1)), U64(fmt.max_finite_bits(0))
-        )
+    ovf_bits = _overflow_bits(fmt, mode, sign, signbit)
     flags[overflow & live] |= F_OVERFLOW | F_INEXACT
 
     biased = np.clip(rounded_msb + fmt.bias, 0, fmt.max_biased_exp).astype(U64)
     normal_bits = signbit | (biased << U64(fmt.frac_bits)) | (kept & U64(fmt.sig_mask))
 
-    if ftz:
+    if isinstance(ftz, np.ndarray):
+        flags[subnormal & live & ftz] |= F_UNDERFLOW | F_INEXACT
+        flags[subnormal & live & ~ftz] |= F_DENORMAL
+        sub_bits = np.where(ftz, signbit, signbit | kept)
+    elif ftz:
         flags[subnormal & live] |= F_UNDERFLOW | F_INEXACT
         sub_bits = signbit
     else:
@@ -347,14 +389,29 @@ class _Lanes:
         self.sub = (self.bexp == 0) & (self.frac != 0)
 
 
-def _daz(fmt: FloatFormat, lanes: _Lanes) -> _Lanes:
-    """Denormals-are-zero: flush subnormal lanes to signed zero."""
+def _daz(fmt: FloatFormat, lanes: _Lanes, daz: bool | np.ndarray) -> _Lanes:
+    """Denormals-are-zero: flush subnormal lanes to signed zero where
+    ``daz`` (one value or a lane array) is set."""
+    if isinstance(daz, np.ndarray):
+        flush = lanes.sub & daz
+    elif daz:
+        flush = lanes.sub
+    else:
+        return lanes
     flushed = copy.copy(lanes)
-    flushed.bits = np.where(lanes.sub, lanes.sign << U64(fmt.width - 1), lanes.bits)
-    flushed.frac = np.where(lanes.sub, U64(0), lanes.frac)
-    flushed.zero = lanes.zero | lanes.sub
-    flushed.sub = np.zeros_like(lanes.sub)
+    flushed.bits = np.where(flush, lanes.sign << U64(fmt.width - 1), lanes.bits)
+    flushed.frac = np.where(flush, U64(0), lanes.frac)
+    flushed.zero = lanes.zero | flush
+    flushed.sub = lanes.sub ^ flush  # flush only ever covers subnormals
     return flushed
+
+
+def _exact_zero_bits(fmt: FloatFormat, mode: RoundingMode | np.ndarray):
+    """The zero an exact cancellation delivers: -0 under roundTowardNegative,
+    +0 otherwise (one encoding, or lanes for a lane-array ``mode``)."""
+    if isinstance(mode, np.ndarray):
+        return (mode == _RTN).astype(U64) << U64(fmt.width - 1)
+    return U64(fmt.zero_bits(1 if mode is RoundingMode.TOWARD_NEGATIVE else 0))
 
 
 def _sig_value(fmt: FloatFormat, lanes: _Lanes) -> tuple[np.ndarray, np.ndarray]:
@@ -473,12 +530,8 @@ def _batch_addsub(fmt, a, b, mode, ftz, daz, negate_b):
     flags[any_snan] |= F_INVALID
     if negate_b:
         lanes_b = _Lanes(fmt, b ^ (U64(1) << U64(fmt.width - 1)))
-    if daz:
-        lanes_a = _daz(fmt, lanes_a)
-        lanes_b = _daz(fmt, lanes_b)
-    A, B = lanes_a, lanes_b
-
-    ezs_bits = U64(fmt.zero_bits(1 if mode is RoundingMode.TOWARD_NEGATIVE else 0))
+    A, B = _daz(fmt, lanes_a, daz), _daz(fmt, lanes_b, daz)
+    ezs_bits = _exact_zero_bits(fmt, mode)
     default_nan = U64(fmt.quiet_nan_bits())
 
     inf_any = A.inf | B.inf
@@ -517,8 +570,7 @@ def _batch_mul(fmt, a, b, mode, ftz, daz):
     nan_mask, nan_bits, any_snan = _nan_propagation(fmt, [A, B])
     flags = np.zeros(n, dtype=np.uint8)
     flags[any_snan] |= F_INVALID
-    if daz:
-        A, B = _daz(fmt, A), _daz(fmt, B)
+    A, B = _daz(fmt, A, daz), _daz(fmt, B, daz)
     sign = A.sign ^ B.sign
     signbit = sign << U64(fmt.width - 1)
     default_nan = U64(fmt.quiet_nan_bits())
@@ -552,8 +604,7 @@ def _batch_div(fmt, a, b, mode, ftz, daz):
     nan_mask, nan_bits, any_snan = _nan_propagation(fmt, [A, B])
     flags = np.zeros(n, dtype=np.uint8)
     flags[any_snan] |= F_INVALID
-    if daz:
-        A, B = _daz(fmt, A), _daz(fmt, B)
+    A, B = _daz(fmt, A, daz), _daz(fmt, B, daz)
     sign = A.sign ^ B.sign
     signbit = sign << U64(fmt.width - 1)
     default_nan = U64(fmt.quiet_nan_bits())
@@ -614,12 +665,10 @@ def _batch_fma(fmt, a, b, c, mode, ftz, daz):
     flags[snan_any] |= F_INVALID
     flags[pinv_path] |= F_INVALID
 
-    A, B, C = A0, B0, C0
-    if daz:
-        A, B, C = _daz(fmt, A), _daz(fmt, B), _daz(fmt, C)
+    A, B, C = _daz(fmt, A0, daz), _daz(fmt, B0, daz), _daz(fmt, C0, daz)
     psign = A.sign ^ B.sign
     psignbit = psign << U64(fmt.width - 1)
-    ezs_bits = U64(fmt.zero_bits(1 if mode is RoundingMode.TOWARD_NEGATIVE else 0))
+    ezs_bits = _exact_zero_bits(fmt, mode)
 
     ab_inf = (A.inf | B.inf) & ~nan_like
     inf_c_invalid = ab_inf & C.inf & (C.sign != psign)
@@ -678,8 +727,7 @@ def _batch_sqrt(fmt, a, mode, ftz, daz):
     nan_mask, nan_bits, any_snan = _nan_propagation(fmt, [A])
     flags = np.zeros(n, dtype=np.uint8)
     flags[any_snan] |= F_INVALID
-    if daz:
-        A = _daz(fmt, A)
+    A = _daz(fmt, A, daz)
     default_nan = U64(fmt.quiet_nan_bits())
 
     negative = ~nan_mask & ~A.zero & (A.sign == 1)  # includes -inf
@@ -823,6 +871,7 @@ class BatchBackend(SoftFloatBackend):
             raise ValueError(f"batch backend does not support {op} on {fmt.name}")
         mask = U64((1 << fmt.width) - 1) if fmt.width < 64 else U64(2**64 - 1)
         arrays = [np.asarray(o, dtype=U64) & mask for o in operands]
+        mode, ftz, daz = lane_env(arrays[0].shape[0], mode, ftz, daz)
         if op in ("add", "sub"):
             bits, flags = _batch_addsub(
                 fmt, arrays[0], arrays[1], mode, ftz, daz, op == "sub"

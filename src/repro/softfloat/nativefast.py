@@ -15,10 +15,13 @@ this backend is deliberately narrow:
 - **binary64** add/sub, with exactness detected by a branch-free Knuth
   TwoSum (no spurious overflow when the sum itself does not overflow).
 
-Everything else — other formats, directed rounding, FTZ/DAZ, and any
-lane holding a NaN, infinity, or zero — goes to the scalar reference,
-so NaN payload propagation never depends on host NaN semantics.  With
-telemetry enabled, the lanes handed to scalar are counted under
+Everything else — other formats, directed rounding, FTZ/DAZ, and lane
+environments — is declined.  Any lane holding a NaN, infinity, or zero
+(or a negative radicand) never reaches the hardware, so NaN payload
+propagation never depends on host NaN semantics: such *special* lanes
+go to the batch kernels when there are more than
+:data:`BATCH_SPECIALS_ABOVE` of them, else to the scalar reference.
+With telemetry enabled, the lanes handed to scalar are counted under
 ``softfloat.scalar_fallback_lanes_total{op,format}``.
 
 The backend refuses to run at all unless :func:`host_fastpath_report`
@@ -37,7 +40,13 @@ import numpy as np
 
 from repro.fpenv.flags import FPFlag
 from repro.fpenv.rounding import RoundingMode
-from repro.softfloat.backend import BatchResult, ScalarBackend, SoftFloatBackend
+from repro.softfloat.backend import (
+    BatchResult,
+    ScalarBackend,
+    SoftFloatBackend,
+    get_backend,
+    is_lane_env,
+)
 from repro.softfloat.formats import BINARY32, BINARY64, FloatFormat
 from repro.telemetry.runtime import get_telemetry
 
@@ -47,6 +56,13 @@ F_OVERFLOW = np.uint8(FPFlag.OVERFLOW.value)
 F_UNDERFLOW = np.uint8(FPFlag.UNDERFLOW.value)
 F_INEXACT = np.uint8(FPFlag.INEXACT.value)
 F_DENORMAL = np.uint8(FPFlag.DENORMAL_RESULT.value)
+
+#: Special lanes go to the batch kernels when a call has more than this
+#: many, else to the scalar reference.  Measured on a 2-vCPU x86-64 host
+#: (RNE, best of 30): scalar costs ~12 µs per special lane, a batch call
+#: a near-flat 380–670 µs, so the two tie at ~32 lanes (binary32 sqrt),
+#: ~38 (mul, div) and ~55 (binary32 and binary64 add).
+BATCH_SPECIALS_ABOVE = 40
 
 
 @functools.lru_cache(maxsize=1)
@@ -125,6 +141,7 @@ class NativeBackend(SoftFloatBackend):
 
     def __init__(self) -> None:
         self._scalar = ScalarBackend()
+        self._batch = get_backend("batch")
 
     def supports(
         self,
@@ -135,6 +152,8 @@ class NativeBackend(SoftFloatBackend):
         daz: bool,
         dst_fmt: FloatFormat | None = None,
     ) -> bool:
+        if is_lane_env(mode, ftz, daz):
+            return False
         if mode is not RoundingMode.NEAREST_EVEN or ftz or daz:
             return False
         if not host_fastpath_ok():
@@ -192,13 +211,20 @@ class NativeBackend(SoftFloatBackend):
                 flags_out[generic] = g_flags
 
         special = ~generic
-        telemetry = get_telemetry()
-        if telemetry.enabled:
-            telemetry.metrics.counter(
-                "softfloat.scalar_fallback_lanes_total", op=op, format=fmt.name
-            ).inc(int(special.sum()))
-        if special.any():
-            sub = self._scalar.run_packed(
+        n_special = int(special.sum())
+        if n_special > BATCH_SPECIALS_ABOVE and self._batch.supports(
+                op, fmt, mode, ftz, daz, dst_fmt):
+            fallback = self._batch
+        else:
+            fallback = self._scalar
+            telemetry = get_telemetry()
+            if telemetry.enabled:
+                telemetry.metrics.counter(
+                    "softfloat.scalar_fallback_lanes_total", op=op,
+                    format=fmt.name,
+                ).inc(n_special)
+        if n_special:
+            sub = fallback.run_packed(
                 op, fmt, [a[special] for a in arrays], mode, ftz, daz, dst_fmt
             )
             bits_out[special] = sub.bits

@@ -7,7 +7,9 @@ smallest normal, which the (before-rounding) engine keeps.  That gives
 a real, reproducible "flags" discrepancy without planting a bug.
 """
 
+import itertools
 import json
+from collections import Counter
 
 import pytest
 
@@ -19,9 +21,12 @@ from repro.oracle import (
     generate_cases,
     run_conformance,
 )
+from repro.oracle.runner import _ENGINE_CHUNK, _iter_evals
 from repro.oracle.shrink import shrink_case, simplicity_key
-from repro.softfloat import BINARY16, BINARY32, SoftFloat
-from repro.softfloat.formats import BINARY128, TINY8
+from repro.softfloat import BINARY16, BINARY32, SoftFloat, get_backend
+from repro.softfloat.formats import BINARY64, BINARY128, TINY8
+from repro.softfloat.nativefast import host_fastpath_ok
+from repro.telemetry import telemetry_session
 
 RNE = RoundingMode.NEAREST_EVEN
 
@@ -176,6 +181,62 @@ class TestRunConformance:
         assert stats.evals_per_sec > 0
         data = stats.to_dict()
         assert data["wall_seconds"] > 0 and data["evals_per_sec"] > 0
+
+
+def _by_op_and_backend(snapshot: dict, counter: str) -> dict:
+    """``{(op, backend): value}`` for one softfloat counter."""
+    out = {}
+    for key, entry in snapshot.items():
+        name, _, labels = key.partition("{")
+        if name == counter:
+            fields = dict(part.split("=") for part in labels[:-1].split(","))
+            out[fields["op"], fields["backend"]] = entry["value"]
+    return out
+
+
+class TestEngineCallsPerTier:
+    """The engine side makes one backend call per serving tier, and
+    every lane lands on the tier its own cell selects."""
+
+    OPS = ["add", "sub", "mul", "div", "sqrt", "fma"]
+    FULL_MATRIX = ((False, False), (False, True), (True, False), (True, True))
+
+    def test_full_matrix_binary64_sweep(self):
+        budget, seed = 2500, 7
+        with telemetry_session() as session:
+            report = run_conformance(
+                BINARY64, self.OPS, budget=budget, seed=seed,
+                engine_backend="auto", env_combos=self.FULL_MATRIX)
+        assert report.clean  # every lane ran under its own cell
+        snapshot = session.metrics.snapshot()
+        lanes = _by_op_and_backend(snapshot, "softfloat.lanes_total")
+        calls = _by_op_and_backend(snapshot, "softfloat.calls_total")
+
+        auto = get_backend("auto")
+        matrix = tuple(itertools.product(RoundingMode, self.FULL_MATRIX))
+        per_cell = Counter()
+        for op in self.OPS:
+            for *_, mode, ftz, daz in _iter_evals(
+                    op, BINARY64, budget, seed, matrix, 0, None):
+                per_cell[op, auto.select(op, BINARY64, mode, ftz,
+                                         daz).name] += 1
+        assert lanes == dict(per_cell)
+        assert set(calls) == set(lanes)
+        for key, n_calls in calls.items():
+            assert n_calls <= -(-lanes[key] // _ENGINE_CHUNK), key
+
+    @pytest.mark.skipif(not host_fastpath_ok(),
+                        reason="native path disabled")
+    def test_one_cell_binary32_sweep_stays_native(self):
+        with telemetry_session() as session:
+            run_conformance(BINARY32, ["add"], budget=300, seed=3,
+                            modes=[RNE], env_combos=((False, False),),
+                            engine_backend="auto")
+        snapshot = session.metrics.snapshot()
+        assert _by_op_and_backend(snapshot, "softfloat.lanes_total") == {
+            ("add", "native"): 300}
+        assert _by_op_and_backend(snapshot, "softfloat.calls_total") == {
+            ("add", "native"): 1}
 
 
 class TestReportOutput:

@@ -10,6 +10,8 @@ the equivalence:
   (hypothesis when installed, seeded sampler otherwise);
 - *corpus*: all ordered pairs of the boundary-value corpus under the
   full rounding × FTZ/DAZ environment lattice;
+- *mixed environment*: one call whose lanes each carry their own
+  (mode, FTZ, DAZ) cell must equal the per-cell calls lane for lane;
 - *exhaustive*: the full tiny-format domain lives in
   ``test_backends_exhaustive.py`` under the ``slow`` marker.
 
@@ -46,13 +48,28 @@ from repro.softfloat import (
 from repro.softfloat.backend import (
     BACKEND_OP_ARITY,
     BACKEND_OPS,
+    MODE_CODES,
+    MODES_BY_CODE,
     ORD_EQUAL,
     ORD_GREATER,
     ORD_LESS,
     ORD_UNORDERED,
 )
-from repro.softfloat.nativefast import NativeBackend, host_fastpath_report
-from tests.strategies import ENV_MATRIX, HARDWARE_DEFAULT, forall_bits, special_pairs
+from repro.softfloat.nativefast import (
+    BATCH_SPECIALS_ABOVE,
+    NativeBackend,
+    host_fastpath_ok,
+    host_fastpath_report,
+)
+from repro.telemetry import telemetry_session
+from tests.strategies import (
+    ENV_MATRIX,
+    HARDWARE_DEFAULT,
+    forall_bits,
+    forall_seeds,
+    special_bits,
+    special_pairs,
+)
 
 FORMATS = [TINY8, E4M3, BINARY16, BFLOAT16, BINARY32, BINARY64]
 FORMAT_IDS = [f.name for f in FORMATS]
@@ -146,6 +163,93 @@ def test_native_matches_scalar_property(fmt, a_bits, b_bits):
             continue
         lanes = _operand_lanes(op, pairs)
         _assert_backend_matches_scalar(op, fmt, lanes, mode, ftz, daz, NATIVE)
+
+
+# ----------------------------------------------------------------------
+# mixed-environment tier: every cell in one call
+# ----------------------------------------------------------------------
+
+def _mixed_env_lanes(fmt, n, rng) -> tuple[list[np.ndarray], tuple]:
+    """``n`` lanes of three operands each drawn from the boundary corpus,
+    the subnormal band or the whole encoding space, every lane in a
+    random one of the 20 (mode, FTZ, DAZ) cells."""
+    corpus = np.array(special_bits(fmt), dtype=np.uint64)
+    sign_and_fraction = np.uint64(fmt.sig_mask | (1 << (fmt.width - 1)))
+    operands = []
+    for _ in range(3):
+        anything = rng.integers(0, 1 << fmt.width, size=n, dtype=np.uint64)
+        subnormal = anything & sign_and_fraction
+        kind = rng.integers(0, 3, size=n)
+        operands.append(np.where(
+            kind == 0, corpus[rng.integers(0, len(corpus), size=n)],
+            np.where(kind == 1, subnormal, anything)))
+    cells = rng.integers(0, len(ENV_MATRIX), size=n)
+    modes, ftzs, dazs = zip(*ENV_MATRIX)
+    env = (
+        np.array([MODE_CODES[mode] for mode in modes], dtype=np.uint8)[cells],
+        np.array(ftzs)[cells],
+        np.array(dazs)[cells],
+    )
+    return operands, env
+
+
+def _assert_lane_env_matches_cells(backend, op, fmt, operands, env):
+    """One lane-environment call == one call per cell, lane for lane."""
+    lanes = operands[:BACKEND_OP_ARITY[op]]
+    got = backend.run_packed(op, fmt, lanes, *env)
+    modes, ftzs, dazs = env
+    for mode, ftz, daz in ENV_MATRIX:
+        cell = (modes == MODE_CODES[mode]) & (ftzs == ftz) & (dazs == daz)
+        if not cell.any():
+            continue
+        want = backend.run_packed(
+            op, fmt, [lane[cell] for lane in lanes], mode, ftz, daz)
+        where = f"{backend.name} {op}/{fmt.name} {mode.value} ftz={ftz} daz={daz}"
+        np.testing.assert_array_equal(got.bits[cell], want.bits,
+                                      err_msg=f"{where}: bits")
+        np.testing.assert_array_equal(got.flags[cell], want.flags,
+                                      err_msg=f"{where}: flags")
+
+
+@pytest.mark.parametrize("backend_name", ["batch", "scalar", "auto"])
+@pytest.mark.parametrize(
+    "fmt", [BINARY16, BINARY32, BINARY64, BFLOAT16],
+    ids=["binary16", "binary32", "binary64", "bfloat16"])
+@forall_seeds(n_examples=4)
+def test_lane_env_call_matches_per_cell_calls(backend_name, fmt, seed):
+    """A call whose lanes span all 20 environment cells returns, bits
+    and flags, what one call per cell returns."""
+    backend = get_backend(backend_name)
+    operands, env = _mixed_env_lanes(fmt, 200, np.random.default_rng(seed))
+    for op in ARITH_OPS + COMPARE_OPS:
+        _assert_lane_env_matches_cells(backend, op, fmt, operands, env)
+
+
+def _native_sqrt_scalar_lanes(radicands: np.ndarray) -> int:
+    """Run binary32 sqrt on native, assert it equals scalar in bits and
+    flags, and return how many lanes native handed to scalar."""
+    lanes = [radicands]
+    with telemetry_session() as session:
+        got = NATIVE.run_packed("sqrt", BINARY32, lanes, *HARDWARE_DEFAULT)
+    want = SCALAR.run_packed("sqrt", BINARY32, lanes, *HARDWARE_DEFAULT)
+    np.testing.assert_array_equal(got.bits, want.bits)
+    np.testing.assert_array_equal(got.flags, want.flags)
+    key = "softfloat.scalar_fallback_lanes_total{format=binary32,op=sqrt}"
+    return session.metrics.snapshot().get(key, {"value": 0})["value"]
+
+
+@pytest.mark.skipif(not host_fastpath_ok(), reason="native path disabled")
+def test_native_special_lanes_go_to_batch_above_the_crossover():
+    """4096 random binary32 radicands (half negative): the special
+    lanes run on batch and none reach scalar; at the crossover itself
+    they stay on scalar."""
+    rng = np.random.default_rng(7)
+    assert _native_sqrt_scalar_lanes(
+        rng.integers(0, 1 << 32, size=4096, dtype=np.uint64)) == 0
+    at_crossover = np.array(
+        [BINARY32.one_bits(1)] * BATCH_SPECIALS_ABOVE + [BINARY32.one_bits(0)],
+        dtype=np.uint64)
+    assert _native_sqrt_scalar_lanes(at_crossover) == BATCH_SPECIALS_ABOVE
 
 
 # ----------------------------------------------------------------------
@@ -402,6 +506,30 @@ class TestProtocol:
             NATIVE.run_packed(
                 "fma", BINARY32,
                 [np.zeros(1, dtype=np.uint64)] * 3, mode, False, False)
+
+    def test_mode_codes_round_trip(self):
+        assert set(MODE_CODES) == set(RoundingMode)
+        for mode, code in MODE_CODES.items():
+            assert MODES_BY_CODE[code] is mode
+
+    def test_lane_envs_route_past_native(self):
+        mode, ftz, daz = HARDWARE_DEFAULT
+        uniform = (np.full(4, MODE_CODES[mode], dtype=np.uint8),
+                   np.zeros(4, dtype=bool), np.zeros(4, dtype=bool))
+        for lane_env in (uniform, (mode, uniform[1], daz),
+                         (mode, ftz, uniform[2])):
+            assert not NATIVE.supports("add", BINARY32, *lane_env)
+        auto = get_backend("auto")
+        assert auto.select("add", BINARY32, *uniform).name == "batch"
+        assert auto.select("add", BINARY128, *uniform).name == "scalar"
+
+    @pytest.mark.parametrize("backend_name", ["scalar", "batch"])
+    def test_lane_env_length_checked(self, backend_name):
+        lanes = [np.zeros(3, dtype=np.uint64)] * 2
+        with pytest.raises(ValueError):
+            get_backend(backend_name).run_packed(
+                "add", BINARY16, lanes, RoundingMode.NEAREST_EVEN,
+                np.zeros(2, dtype=bool), False)
 
     def test_host_probe_reports_all_hazards(self):
         report = host_fastpath_report()

@@ -10,7 +10,10 @@ suite proves full-domain bit-identity (packed result and sticky flags):
   the oracle-covered ops, under every rounding mode with FTZ/DAZ off
   and on together (the quiz's two hardware flavors);
 - **fma** over all 4096 products crossed with the boundary corpus of
-  addends.
+  addends;
+- **every cell in one call**: per op, the full domain under all 20
+  environment cells as one lane-environment call on batch and on
+  scalar, against the per-cell scalar results.
 
 Where the property tier samples, this tier enumerates — there is no
 unexercised encoding left in the format.
@@ -24,7 +27,8 @@ import pytest
 from repro.fpenv.flags import FPFlag
 from repro.fpenv.rounding import RoundingMode
 from repro.oracle.exact import OracleConfig, oracle_operation
-from repro.softfloat import TINY8, ScalarBackend, get_backend
+from repro.softfloat import TINY8, BatchResult, ScalarBackend, get_backend
+from repro.softfloat.backend import MODE_CODES
 from tests.strategies import ENV_MATRIX, special_bits
 
 pytestmark = pytest.mark.slow
@@ -129,3 +133,44 @@ def test_exhaustive_sqrt_batch_vs_oracle():
                     "sqrt", TINY8, cfg, int(domain[lane]))
                 assert int(got.bits[lane]) == oracle.bits
                 assert FPFlag(int(got.flags[lane])) == oracle.flags
+
+
+def _fma_lanes() -> list[np.ndarray]:
+    """All 4096 (a, b) products, each lane's addend cycling through the
+    boundary corpus."""
+    a, b = _full_pairs()
+    corpus = np.array(special_bits(TINY8), dtype=np.uint64)
+    return [a, b, corpus[np.arange(a.shape[0]) % corpus.shape[0]]]
+
+
+@pytest.mark.parametrize(
+    "op", ["add", "sub", "mul", "div", "fma", "sqrt", "compare_quiet",
+           "compare_signaling"]
+)
+def test_exhaustive_all_cells_in_one_call(op):
+    """The whole domain under all 20 cells in one lane-environment call
+    (batch and scalar) equals the per-cell scalar calls."""
+    if op == "sqrt":
+        lanes = [_full_domain()]
+    elif op == "fma":
+        lanes = _fma_lanes()
+    else:
+        lanes = list(_full_pairs())
+    n = lanes[0].shape[0]
+    cells = len(ENV_MATRIX)
+    tiled = [np.tile(lane, cells) for lane in lanes]
+    env = (
+        np.repeat(np.array([MODE_CODES[m] for m, _, _ in ENV_MATRIX],
+                           dtype=np.uint8), n),
+        np.repeat(np.array([ftz for _, ftz, _ in ENV_MATRIX]), n),
+        np.repeat(np.array([daz for _, _, daz in ENV_MATRIX]), n),
+    )
+    per_cell = [SCALAR.run_packed(op, TINY8, lanes, *cell)
+                for cell in ENV_MATRIX]
+    for backend in (BATCH, SCALAR):
+        got = backend.run_packed(op, TINY8, tiled, *env)
+        for i, ((mode, ftz, daz), want) in enumerate(zip(ENV_MATRIX, per_cell)):
+            lane_slice = slice(i * n, (i + 1) * n)
+            _assert_equal(op, mode, ftz, daz, lanes, want,
+                          BatchResult(got.bits[lane_slice], got.flags[lane_slice]),
+                          other=f"{backend.name} (one call)")
