@@ -327,9 +327,8 @@ async def phase_fault_tolerance(requests: int = 12) -> dict:
     ))
     worker_deaths = 0
     kills = 0
-    async with FPService(service_config(
-        job_max_riders=4, job_max_delay=0.02,
-    ), engine=engine) as service:
+    async with FPService(service_config(job_max_riders=4),
+                         engine=engine) as service:
         client = await ServiceClient.open("127.0.0.1", service.port)
 
         async def killer() -> None:

@@ -40,7 +40,6 @@ import time
 from typing import Any
 
 from repro.errors import ServiceError
-from repro.fpenv.flags import FPFlag, flag_names
 from repro.service.batching import JobCoalescer, MicroBatcher
 from repro.service.handlers import Handlers
 from repro.service.protocol import (
@@ -81,27 +80,30 @@ class ServiceConfig:
     per_client_depth: int = 512
     total_depth: int = 4096
     batch_max_lanes: int = 4096
-    batch_max_delay: float = 0.002
     job_max_riders: int = 16
-    job_max_delay: float = 0.01
     backend: str = "auto"
     cache_entries: int = 4096
     drain_timeout: float = 5.0
 
 
-def _flag_labels(flags) -> list[str]:
-    """Names for one event's flags.  The stream carries more than FP
-    flags (engine fault events use their own Flag enum), so decompose
+#: flag value -> labels, memoized: a service run raises few distinct sets
+_FLAG_LABELS: dict[Any, tuple[str, ...]] = {}
+
+
+def _flag_labels(flags) -> tuple[str, ...]:
+    """Sorted names for one event's flags.  The stream carries more than
+    FP flags (engine fault events use their own Flag enum), so decompose
     generically rather than assuming :class:`FPFlag`."""
-    if isinstance(flags, FPFlag):
-        return flag_names(flags)
-    return [
-        member.name.lower()
-        for member in type(flags)
-        if member.name and member.value
-        and (member.value & (member.value - 1)) == 0  # single bit
-        and member in flags
-    ]
+    labels = _FLAG_LABELS.get(flags)
+    if labels is None:
+        labels = _FLAG_LABELS[flags] = tuple(sorted(
+            member.name.lower()
+            for member in type(flags)
+            if member.name and member.value
+            and (member.value & (member.value - 1)) == 0  # single bit
+            and member in flags
+        ))
+    return labels
 
 
 class _ClientState:
@@ -139,7 +141,6 @@ class FPService:
         batcher = MicroBatcher(
             get_backend(self.config.backend),
             max_lanes=self.config.batch_max_lanes,
-            max_delay=self.config.batch_max_delay,
             metrics=self.telemetry.metrics,
         )
         coalescer = None
@@ -147,7 +148,6 @@ class FPService:
             coalescer = JobCoalescer(
                 engine,
                 max_jobs=self.config.job_max_riders,
-                max_delay=self.config.job_max_delay,
                 seed=self.config.service_seed,
                 metrics=self.telemetry.metrics,
             )
@@ -376,13 +376,9 @@ class FPService:
                         )
             finally:
                 handle_ms = (time.monotonic() - started) * 1e3
-                self._absorb_session(session, request.method, handle_ms)
-            events = sorted({
-                name
-                for event in (session.events.events if session.events
-                              else ())
-                for name in _flag_labels(event.flags)
-            })
+                events = self._absorb_session(
+                    session, request.method, handle_ms
+                )
             response = Response.success(
                 request.id, result,
                 telemetry={
@@ -420,7 +416,7 @@ class FPService:
         await self._write(work.writer, work.write_lock, response)
 
     def _absorb_session(self, session: Telemetry, method: str,
-                        handle_ms: float) -> None:
+                        handle_ms: float) -> list[str]:
         """Fold one request session into the service-owned aggregate.
 
         Counters and log histograms merge exactly, so the aggregate's
@@ -430,29 +426,32 @@ class FPService:
         flag records a trace-id *exemplar* so a scrape can jump from a
         counter to the request trace that raised it.  Request spans
         are deliberately dropped — the service would otherwise retain
-        every request's span forest forever.
+        every request's span forest forever.  Returns the sorted flag
+        labels the request's events raised (its ``fp_events``).
         """
         aggregate = self.telemetry.metrics
         for (name, labels), metric in session.metrics:
             merge_metric(aggregate, name, dict(labels), metric.to_dict())
-        trace_id = session.trace_id
+        labels: set[str] = set()
         for event in (session.events.events if session.events else ()):
             self.telemetry.stream.record(
                 event.operation, event.flags,
                 fmt=event.fmt, span_path=event.span_path,
             )
-            if trace_id is None:
-                continue
-            for name in _flag_labels(event.flags):
+            labels.update(_flag_labels(event.flags))
+        events = sorted(labels)
+        trace_id = session.trace_id
+        if trace_id is not None:
+            for name in events:
                 key = format_metric_name(
                     "fpenv.exceptions_total", (("flag", name),)
                 )
                 self._exemplars[key] = (trace_id, 1.0)
-        if trace_id is not None:
             key = format_metric_name(
                 "service.handle_ms", (("method", method),)
             )
             self._exemplars[key] = (trace_id, handle_ms)
+        return events
 
     @staticmethod
     async def _write(writer: asyncio.StreamWriter, lock: asyncio.Lock,

@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import asyncio
+import functools
+import itertools
+import operator
 
+from repro.engine.events import EngineFlag
+from repro.fpenv.flags import FPFlag, flag_names
 from repro.service import FPService, ServiceClient, ServiceConfig
+from repro.service.server import _flag_labels
 from repro.service.topview import render_top
 from repro.telemetry import parse_traceparent, parse_exposition
 
@@ -49,6 +55,64 @@ class TestStatsMethod:
                     assert len(trace_id) == 32
 
         run(main())
+
+
+    def test_stats_reports_the_flush_split(self):
+        async def main():
+            async with make_service() as service:
+                async with await _client(service) as client:
+                    for _ in range(3):
+                        assert (
+                            await client.call("op.eval", _DIV_BY_ZERO)
+                        ).ok
+                    return (await client.call("stats")).result
+
+        batcher = run(main())["handlers"]["batcher"]
+        assert batcher["submitted"] == batcher["flushes"] == 3
+        # one client, one request at a time: each found its cell idle
+        assert batcher["idle_flushes"] == 3
+        assert batcher["backlog_flushes"] == batcher["size_flushes"] == 0
+        assert batcher["riders_mean"] == 1.0
+
+
+def _all_composites(flag_type):
+    bits = [m for m in flag_type
+            if m.value and (m.value & (m.value - 1)) == 0]
+    for r in range(len(bits) + 1):
+        for combo in itertools.combinations(bits, r):
+            yield functools.reduce(operator.or_, combo, flag_type(0))
+
+
+class TestFlagLabels:
+    def test_fp_flag_composites_label_as_flag_names(self):
+        for flags in _all_composites(FPFlag):
+            labels = _flag_labels(flags)
+            assert labels == tuple(flag_names(flags))
+            assert _flag_labels(flags) is labels  # memoized
+
+    def test_engine_flag_composites_decompose_generically(self):
+        for flags in _all_composites(EngineFlag):
+            assert _flag_labels(flags) == tuple(sorted(
+                member.name.lower() for member in EngineFlag
+                if member.value and (member.value & (member.value - 1)) == 0
+                and member in flags
+            ))
+
+    def test_fp_events_on_a_response(self):
+        async def main():
+            async with make_service() as service:
+                async with await _client(service) as client:
+                    div = await client.call("op.eval", _DIV_BY_ZERO)
+                    lint = await client.call("lint", {"expr": "a*b + c"})
+                    ping = await client.call("ping")
+                    return [r.telemetry["fp_events"]
+                            for r in (div, lint, ping)]
+
+        div, lint, ping = run(main())
+        assert div == ["div_by_zero"]
+        assert lint == ["denormal_result", "inexact", "invalid",
+                        "overflow", "underflow"]
+        assert ping == []
 
 
 class TestMetricsMethod:
