@@ -54,8 +54,6 @@ from repro.optsim.batch_eval import evaluate_lanes, evaluate_many
 from repro.optsim.flags import config_from_flags
 from repro.optsim.guided import (
     FlowCoverage,
-    GuidedResult,
-    SweepResult,
     exhaustive_sweep,
     guided_search,
 )
@@ -71,6 +69,7 @@ from repro.optsim.program import (
 )
 from repro.optsim.compliance import (
     DivergenceReport,
+    SearchResult,
     find_divergence,
     is_standard_compliant,
     noncompliance_reasons,
@@ -103,8 +102,6 @@ __all__ = [
     "evaluate_lanes",
     "EvalResult",
     "FlowCoverage",
-    "GuidedResult",
-    "SweepResult",
     "guided_search",
     "exhaustive_sweep",
     "optimize",
@@ -117,6 +114,7 @@ __all__ = [
     "eliminate_dead_code",
     "find_divergence",
     "DivergenceReport",
+    "SearchResult",
     "is_standard_compliant",
     "noncompliance_reasons",
 ]

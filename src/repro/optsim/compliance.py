@@ -6,13 +6,20 @@ contraction (``-O3``) changes results, FTZ/DAZ changes results,
 the positive claims by exhibiting a concrete input where the configured
 evaluation differs bit-for-bit from strict IEEE, and supports the
 negative claim by failing to find one over a corner-heavy search space.
+
+Every strategy — random, guided (:mod:`repro.optsim.guided`) and
+exhaustive — is a candidate source for one walk, :func:`search`, which
+re-checks each hit with :func:`check_binding` and returns one
+:class:`SearchResult`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from itertools import islice
+from typing import TYPE_CHECKING
 
 from repro.optsim.ast import Expr, expr_variables
 from repro.optsim.evaluator import EvalResult, evaluate
@@ -22,11 +29,17 @@ from repro.softfloat import SoftFloat, sf
 from repro.softfloat.formats import FloatFormat
 from repro.telemetry import get_telemetry
 
+if TYPE_CHECKING:
+    from repro.softfloat.backend import SoftFloatBackend
+
 __all__ = [
     "DivergenceReport",
+    "SearchResult",
     "cross_validate",
     "divergence_candidates",
     "check_binding",
+    "search",
+    "random_search",
     "find_divergence",
     "is_standard_compliant",
     "noncompliance_reasons",
@@ -187,102 +200,67 @@ def find_divergence(
     :func:`cross_validate` before being returned.
 
     ``backend`` names a softfloat backend (``"batch"``, ``"auto"``, …)
-    to evaluate the whole candidate list in vectorized lanes via
-    :func:`repro.optsim.batch_eval.evaluate_many`; the first diverging
-    candidate is then re-evaluated scalar for the definitive report, so
-    the returned verdict — witness, trial count, both result sides — is
-    identical to the serial walk's.  ``None`` keeps the historical
-    candidate-by-candidate search.
+    for the random and exhaustive walks: candidates then run in
+    vectorized lanes via :func:`repro.optsim.batch_eval.evaluate_many`,
+    and every hit is re-checked scalar (:func:`search`), so the verdict
+    — witness, trial count, both result sides — is identical to the
+    serial walk's.  ``None`` walks the random candidates one by one;
+    an exhaustive sweep defaults to ``"auto"``.
     """
+    from repro.optsim import guided
+
     telemetry = get_telemetry()
     with telemetry.tracer.span(
         "optsim.find_divergence", config=config.name, expr=str(expr),
         strategy=strategy,
     ) as span:
+        optimized = optimize(expr, config)
         if strategy == "random":
-            report = _search_divergence(
-                expr, config, telemetry,
-                seed=seed, trials=trials, check_flags=check_flags,
-                extra_witnesses=extra_witnesses, oracle_check=oracle_check,
+            result = random_search(
+                expr, optimized, config, seed=seed, trials=trials,
+                check_flags=check_flags, extra_witnesses=extra_witnesses,
                 backend=backend,
             )
-        elif strategy in ("guided", "exhaustive"):
-            report = _search_divergence_strategic(
-                expr, config, strategy,
-                seed=seed, trials=trials, check_flags=check_flags,
-                extra_witnesses=extra_witnesses, bindings=bindings,
-                backend=backend, oracle_check=oracle_check,
+            telemetry.metrics.counter(
+                "optsim.divergence_trials_total", config=config.name
+            ).inc(result.evals)
+            if result.witness is not None:
+                telemetry.metrics.counter(
+                    "optsim.divergences_found_total", config=config.name
+                ).inc()
+        elif strategy == "guided":
+            result = guided.guided_search(
+                expr, optimized, config, bindings=bindings, seed=seed,
+                trials=trials, check_flags=check_flags,
+                extra_witnesses=extra_witnesses,
+            )
+        elif strategy == "exhaustive":
+            result = guided.exhaustive_sweep(
+                expr, optimized, config, bindings=bindings,
+                check_flags=check_flags, backend=backend or "auto",
             )
         else:
             raise ValueError(f"unknown search strategy {strategy!r}")
+        report = DivergenceReport(
+            expr=expr,
+            optimized_expr=optimized,
+            config=config,
+            diverged=result.witness is not None,
+            value_diverged=result.value_diverged,
+            flags_diverged=result.flags_diverged,
+            witness=result.witness,
+            strict_result=result.strict_result,
+            optimized_result=result.optimized_result,
+            trials=result.evals,
+            strategy=strategy,
+            coverage=result.coverage,
+            exhausted=result.is_proof,
+        )
+        if oracle_check:
+            report = cross_validate(report)
         span.set("diverged", report.diverged)
         span.set("trials", report.trials)
         return report
-
-
-def _search_divergence_strategic(
-    expr: Expr,
-    config: MachineConfig,
-    strategy: str,
-    *,
-    seed: int,
-    trials: int,
-    check_flags: bool,
-    extra_witnesses: Sequence[dict[str, SoftFloat]],
-    bindings,
-    backend: str | None,
-    oracle_check: bool,
-) -> DivergenceReport:
-    """Adapt the guided/exhaustive engines to a DivergenceReport."""
-    from repro.optsim.guided import exhaustive_sweep, guided_search
-
-    optimized = optimize(expr, config)
-    if strategy == "guided":
-        result = guided_search(
-            expr, optimized, config, bindings=bindings, seed=seed,
-            trials=trials, check_flags=check_flags,
-            extra_witnesses=extra_witnesses,
-        )
-        witness = result.witness
-        strict_result = result.strict_result
-        optimized_result = result.optimized_result
-        value_diverged = result.value_diverged
-        flags_diverged = result.flags_diverged
-        count = result.evals
-        coverage, exhausted = result.coverage, False
-    else:
-        sweep = exhaustive_sweep(
-            expr, optimized, config, bindings=bindings,
-            check_flags=check_flags, backend=backend or "auto",
-        )
-        witness = sweep.witness
-        value_diverged = sweep.value_diverged
-        flags_diverged = sweep.flags_diverged
-        count = sweep.checked
-        coverage = None
-        exhausted = sweep.found_index is None and sweep.is_proof
-        strict_result = optimized_result = None
-        if witness is not None:
-            strict_result, optimized_result, _, _ = check_binding(
-                expr, optimized, witness, config
-            )
-    diverged = value_diverged or (check_flags and flags_diverged)
-    report = DivergenceReport(
-        expr=expr,
-        optimized_expr=optimized,
-        config=config,
-        diverged=diverged,
-        value_diverged=value_diverged,
-        flags_diverged=flags_diverged,
-        witness=witness if diverged else None,
-        strict_result=strict_result if diverged else None,
-        optimized_result=optimized_result if diverged else None,
-        trials=count,
-        strategy=strategy,
-        coverage=coverage,
-        exhausted=exhausted,
-    )
-    return cross_validate(report) if oracle_check else report
 
 
 def divergence_candidates(
@@ -298,10 +276,9 @@ def divergence_candidates(
     Pure in ``(expr, config, seed, trials, extra_witnesses)``: caller
     witnesses first, then the corner lattice (all combinations when the
     variable count keeps that tractable, corner-biased random picks
-    otherwise), then random operands up to ``trials``.  Sharded
-    searches regenerate this list per shard and walk disjoint slices,
-    which is what keeps a parallel search's verdict — first diverging
-    index wins — identical to the serial walk.
+    otherwise), then random operands up to ``trials``.  The corner
+    lattice is not cut to ``trials``: with up to two variables the list
+    holds every corner combination even when that exceeds it.
     """
     names = expr_variables(expr)
     rng = random.Random(seed)
@@ -347,137 +324,146 @@ def check_binding(
     return strict_result, optimized_result, value_diverged, flags_diverged
 
 
-def _search_divergence(
+@dataclasses.dataclass(frozen=True)
+class SearchResult:
+    """Outcome of one candidate walk (:func:`search`).
+
+    ``witness`` is the first candidate whose divergence survived the
+    scalar re-check, with that check's two results and verdicts;
+    ``goal`` is its candidate label.  ``evals`` counts the candidates
+    consumed, admitted or not.  The guided search attaches its
+    ``coverage`` map, and the exhaustive sweep the size of its domain
+    (``states``; ``None`` for a walk that is not an enumeration).
+    """
+
+    witness: dict[str, SoftFloat] | None
+    value_diverged: bool = False
+    flags_diverged: bool = False
+    strict_result: EvalResult | None = None
+    optimized_result: EvalResult | None = None
+    evals: int = 0
+    goal: str | None = None
+    coverage: object | None = None
+    states: int | None = None
+
+    @property
+    def checked(self) -> int:
+        """Alias of ``evals``, read by perfbench's exhaustive-sweep probe."""
+        return self.evals
+
+    @property
+    def is_proof(self) -> bool:
+        """True when an enumeration swept its whole domain without a
+        divergence — an equivalence proof over the admitted inputs."""
+        return self.witness is None and self.evals == self.states
+
+
+#: Candidates per lane batch when a search runs on a backend.
+_CHUNK = 4096
+
+
+def search(
     expr: Expr,
+    optimized: Expr,
     config: MachineConfig,
-    telemetry,
+    candidates: Iterable[tuple[Mapping[str, SoftFloat], str | None]],
+    *,
+    check_flags: bool,
+    backend: SoftFloatBackend | str | None = None,
+    hooks: tuple[Callable, Callable] | None = None,
+    admit: Callable[[Mapping[str, SoftFloat]], bool] | None = None,
+) -> SearchResult:
+    """Walk ``(binding, label)`` candidates in order and return the
+    first divergence between ``expr`` under strict IEEE and its
+    compiled form ``optimized`` under ``config``.
+
+    Without ``backend`` each candidate is evaluated on its own, with
+    the per-node ``hooks`` pair (strict side, optimized side) passed to
+    :func:`evaluate`; the candidate iterator is advanced one step at a
+    time, so a stream may steer by what the hooks saw.  With
+    ``backend`` the candidates run in lane batches through
+    :func:`repro.optsim.batch_eval.evaluate_many`.  Either way a hit is
+    re-checked with :func:`check_binding` before it is reported, and a
+    hit that does not hold there is walked past.  Candidates ``admit``
+    rejects are not evaluated but still count in ``evals``.  Flag
+    divergence counts only when ``check_flags`` is set.
+    """
+    strict_config = STRICT.replace(fmt=config.fmt)
+
+    def differ(strict: EvalResult, opt: EvalResult) -> bool:
+        return not _same_value(strict.value, opt.value) or (
+            check_flags and strict.flags != opt.flags
+        )
+
+    def screened():
+        """``(binding, label, suspect)`` for every candidate, in order;
+        ``suspect`` when the two sides evaluated differently."""
+        if backend is None:
+            strict_hook, optimized_hook = hooks or (None, None)
+            for binding, label in candidates:
+                suspect = (admit is None or admit(binding)) and differ(
+                    evaluate(expr, binding, strict_config, hook=strict_hook),
+                    evaluate(optimized, binding, config, hook=optimized_hook),
+                )
+                yield binding, label, suspect
+            return
+        from repro.optsim.batch_eval import evaluate_many
+
+        stream = iter(candidates)
+        while chunk := list(islice(stream, _CHUNK)):
+            admitted = [admit is None or admit(b) for b, _ in chunk]
+            lanes = [b for (b, _), ok in zip(chunk, admitted) if ok]
+            results = zip(
+                evaluate_many(expr, lanes, strict_config, backend),
+                evaluate_many(optimized, lanes, config, backend),
+            )
+            for (binding, label), ok in zip(chunk, admitted):
+                yield binding, label, ok and differ(*next(results))
+
+    evals = 0
+    for binding, label, suspect in screened():
+        evals += 1
+        if not suspect:
+            continue
+        strict, opt, value_diverged, flags_diverged = check_binding(
+            expr, optimized, binding, config
+        )
+        if value_diverged or (check_flags and flags_diverged):
+            return SearchResult(
+                witness=dict(binding),
+                value_diverged=value_diverged,
+                flags_diverged=flags_diverged,
+                strict_result=strict,
+                optimized_result=opt,
+                evals=evals,
+                goal=label,
+            )
+    return SearchResult(witness=None, evals=evals)
+
+
+def random_search(
+    expr: Expr,
+    optimized: Expr,
+    config: MachineConfig,
     *,
     seed: int,
     trials: int,
     check_flags: bool,
-    extra_witnesses: Sequence[dict[str, SoftFloat]],
-    oracle_check: bool,
-    backend: str | None = None,
-) -> DivergenceReport:
-    """The search body of :func:`find_divergence` (span managed there)."""
-    trials_total = telemetry.metrics.counter(
-        "optsim.divergence_trials_total", config=config.name
-    )
-    optimized = optimize(expr, config)
+    extra_witnesses: Sequence[dict[str, SoftFloat]] = (),
+    backend: SoftFloatBackend | str | None = None,
+    admit: Callable[[Mapping[str, SoftFloat]], bool] | None = None,
+) -> SearchResult:
+    """The random baseline: :func:`divergence_candidates` walked by
+    :func:`search`."""
     candidates = divergence_candidates(
         expr, config, seed=seed, trials=trials,
         extra_witnesses=extra_witnesses,
     )
-
-    if backend is not None:
-        return _search_divergence_batched(
-            expr, optimized, candidates, config, telemetry, backend,
-            check_flags=check_flags, oracle_check=oracle_check,
-            trials_total=trials_total,
-        )
-
-    count = 0
-    for binding in candidates:
-        count += 1
-        trials_total.inc()
-        strict_result, optimized_result, value_diverged, flags_diverged = \
-            check_binding(expr, optimized, binding, config)
-        if value_diverged or (check_flags and flags_diverged):
-            telemetry.metrics.counter(
-                "optsim.divergences_found_total", config=config.name
-            ).inc()
-            report = DivergenceReport(
-                expr=expr,
-                optimized_expr=optimized,
-                config=config,
-                diverged=True,
-                value_diverged=value_diverged,
-                flags_diverged=flags_diverged,
-                witness=binding,
-                strict_result=strict_result,
-                optimized_result=optimized_result,
-                trials=count,
-            )
-            return cross_validate(report) if oracle_check else report
-    report = DivergenceReport(
-        expr=expr,
-        optimized_expr=optimized,
-        config=config,
-        diverged=False,
-        value_diverged=False,
-        flags_diverged=False,
-        witness=None,
-        strict_result=None,
-        optimized_result=None,
-        trials=count,
+    return search(
+        expr, optimized, config,
+        ((binding, None) for binding in candidates),
+        check_flags=check_flags, backend=backend, admit=admit,
     )
-    return cross_validate(report) if oracle_check else report
-
-
-def _search_divergence_batched(
-    expr: Expr,
-    optimized: Expr,
-    candidates: list[dict[str, SoftFloat]],
-    config: MachineConfig,
-    telemetry,
-    backend: str,
-    *,
-    check_flags: bool,
-    oracle_check: bool,
-    trials_total,
-) -> DivergenceReport:
-    """Vectorized candidate walk: both evaluation sides run over the
-    whole candidate list in backend lanes, then the first diverging
-    index (the serial walk's stop point) is re-checked scalar to build
-    the definitive report."""
-    from repro.optsim.batch_eval import evaluate_many
-
-    strict_config = STRICT.replace(fmt=config.fmt)
-    strict_results = evaluate_many(expr, candidates, strict_config, backend)
-    optimized_results = evaluate_many(optimized, candidates, config, backend)
-    for count, (strict_result, optimized_result) in enumerate(
-        zip(strict_results, optimized_results), start=1
-    ):
-        trials_total.inc()
-        value_diverged = not _same_value(
-            strict_result.value, optimized_result.value
-        )
-        flags_diverged = strict_result.flags != optimized_result.flags
-        if value_diverged or (check_flags and flags_diverged):
-            binding = candidates[count - 1]
-            # Definitive scalar re-evaluation of the winning candidate:
-            # the report's result objects never rest on the batch path.
-            strict_result, optimized_result, value_diverged, flags_diverged = \
-                check_binding(expr, optimized, binding, config)
-            telemetry.metrics.counter(
-                "optsim.divergences_found_total", config=config.name
-            ).inc()
-            report = DivergenceReport(
-                expr=expr,
-                optimized_expr=optimized,
-                config=config,
-                diverged=True,
-                value_diverged=value_diverged,
-                flags_diverged=flags_diverged,
-                witness=binding,
-                strict_result=strict_result,
-                optimized_result=optimized_result,
-                trials=count,
-            )
-            return cross_validate(report) if oracle_check else report
-    report = DivergenceReport(
-        expr=expr,
-        optimized_expr=optimized,
-        config=config,
-        diverged=False,
-        value_diverged=False,
-        flags_diverged=False,
-        witness=None,
-        strict_result=None,
-        optimized_result=None,
-        trials=len(candidates),
-    )
-    return cross_validate(report) if oracle_check else report
 
 
 def cross_validate(

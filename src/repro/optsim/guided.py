@@ -1,5 +1,11 @@
 """Analysis-guided and exhaustive divergence search strategies.
 
+Both are candidate sources for the one search walk,
+:func:`repro.optsim.compliance.search`: this module decides *which*
+bindings to try, and the walk evaluates them, re-checks every hit with
+``check_binding``, and returns a
+:class:`~repro.optsim.compliance.SearchResult`.
+
 The random strategy in :mod:`repro.optsim.compliance` samples the whole
 encoding space; for the narrow operating ranges real lint corpora bind
 (``t ∈ [1e8, 1e9]``, subnormal bands, …) a uniform draw essentially
@@ -16,14 +22,14 @@ This module adds the two strategies that close that gap:
 
 - :func:`exhaustive_sweep` enumerates *every* admitted operand
   combination for small formats (TINY8, binary16 with few variables),
-  lane-parallel through :func:`repro.optsim.batch_eval.evaluate_many`.
-  A clean sweep is a proof over the sampled domain: ``safe`` verdicts
-  become witness-free facts, not merely unfalsified claims.
+  walked in backend lanes.  A clean sweep is a proof over the sampled
+  domain: ``safe`` verdicts become witness-free facts, not merely
+  unfalsified claims.
 
-Per-node flag attribution rides on the one scalar evaluator:
-:func:`repro.optsim.evaluator.evaluate` with a per-node ``hook``
-publishes one event per flag-raising node through the active telemetry
-stream.
+Per-node flag attribution rides on the one scalar evaluator: the guided
+walk hands :func:`repro.optsim.evaluator.evaluate` a per-node ``hook``
+that publishes one event per flag-raising node through the active
+telemetry stream.
 """
 
 from __future__ import annotations
@@ -31,10 +37,11 @@ from __future__ import annotations
 import dataclasses
 import random
 from collections.abc import Mapping, Sequence
+from itertools import islice
 
 from repro.fpenv.flags import FPFlag
 from repro.optsim.ast import Expr, expr_variables
-from repro.optsim.evaluator import evaluate
+from repro.optsim.compliance import SearchResult, search
 from repro.optsim.machine import STRICT, MachineConfig
 from repro.softfloat import SoftFloat
 from repro.telemetry import get_telemetry
@@ -42,8 +49,6 @@ from repro.telemetry.events import single_flags
 
 __all__ = [
     "FlowCoverage",
-    "GuidedResult",
-    "SweepResult",
     "exhaustive_sweep",
     "guided_search",
 ]
@@ -168,20 +173,6 @@ class FlowCoverage:
 # ----------------------------------------------------------------------
 # Guided search
 # ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
-class GuidedResult:
-    """Outcome of one guided (or exhaustive) strategy run."""
-
-    witness: dict[str, SoftFloat] | None
-    value_diverged: bool
-    flags_diverged: bool
-    strict_result: object | None
-    optimized_result: object | None
-    evals: int
-    coverage: FlowCoverage | None
-    goal: str | None = None
-
-
 def _candidate_stream(
     names: Sequence[str],
     base: Mapping[str, "object"],
@@ -242,13 +233,13 @@ def _candidate_stream(
                 yield build(dict(zip(names, combo))), goal_name
 
     # Sampling tier: chase goals whose flag flows are still unexercised.
-    round_index = 0
     while True:
+        unexercised = coverage.unexercised()
         ordered = sorted(
             goal_list,
             key=lambda item: not any(
                 item[0] != "base" and node in item[0]
-                for _, node, _ in coverage.unexercised()
+                for _, node, _ in unexercised
             ),
         )
         for goal_name, regions in ordered:
@@ -261,7 +252,6 @@ def _candidate_stream(
         yield build(
             {name: base[name].sample(rng) for name in names}
         ), "base"
-        round_index += 1
 
 
 def guided_search(
@@ -277,18 +267,17 @@ def guided_search(
     trials: int = 2000,
     check_flags: bool = True,
     extra_witnesses: Sequence[Mapping[str, SoftFloat]] = (),
-) -> GuidedResult:
+) -> SearchResult:
     """Search for a divergence witness inside the analysis-derived
     feasible regions, tracking exception-flow coverage as it goes.
 
-    Every candidate is evaluated on both sides with a per-node flag
-    hook (feeding :class:`FlowCoverage` and the telemetry stream); a
-    hit is re-confirmed with the scalar
-    :func:`repro.optsim.compliance.check_binding` before it is
-    returned, so a guided witness is verified by construction.
+    The first ``trials`` candidates of the stream are walked by
+    :func:`repro.optsim.compliance.search` with a per-node flag hook on
+    both sides (feeding :class:`FlowCoverage` and the telemetry
+    stream), so a guided witness is re-checked by construction.  The
+    result carries the coverage map and the witness's goal.
     ``analysis`` (of ``expr`` under ``config``) is reused, not redone.
     """
-    from repro.optsim.compliance import _same_value, check_binding
     from repro.staticfp.regions import divergence_goals, variable_regions
 
     names = sorted(
@@ -324,72 +313,24 @@ def guided_search(
 
         return emit
 
-    strict_emit, optimized_emit = emitter("strict"), emitter("optimized")
-    strict_config = STRICT.replace(fmt=config.fmt)
-    rng = random.Random(seed)
-    evals = 0
+    stream_iter = _candidate_stream(
+        names, base, goals, coverage, random.Random(seed), extra_witnesses
+    )
     try:
-        stream_iter = _candidate_stream(
-            names, base, goals, coverage, rng, extra_witnesses
+        result = search(
+            expr, optimized, config, islice(stream_iter, trials),
+            check_flags=check_flags,
+            hooks=(emitter("strict"), emitter("optimized")),
         )
-        for binding, goal_name in stream_iter:
-            if evals >= trials:
-                break
-            evals += 1
-            strict = evaluate(expr, binding, strict_config, hook=strict_emit)
-            opt = evaluate(optimized, binding, config, hook=optimized_emit)
-            value_diverged = not _same_value(strict.value, opt.value)
-            flags_diverged = strict.flags != opt.flags
-            if value_diverged or (check_flags and flags_diverged):
-                strict, opt, vdiv, fdiv = check_binding(
-                    expr, optimized, binding, config
-                )
-                if vdiv or (check_flags and fdiv):
-                    return GuidedResult(
-                        witness=dict(binding),
-                        value_diverged=vdiv,
-                        flags_diverged=fdiv,
-                        strict_result=strict,
-                        optimized_result=opt,
-                        evals=evals,
-                        coverage=coverage,
-                        goal=goal_name,
-                    )
     finally:
         if stream is not None:
             stream.unsubscribe(coverage.sink)
-    return GuidedResult(
-        witness=None,
-        value_diverged=False,
-        flags_diverged=False,
-        strict_result=None,
-        optimized_result=None,
-        evals=evals,
-        coverage=coverage,
-    )
+    return dataclasses.replace(result, coverage=coverage)
 
 
 # ----------------------------------------------------------------------
 # Exhaustive sweep (small formats)
 # ----------------------------------------------------------------------
-@dataclasses.dataclass(frozen=True)
-class SweepResult:
-    """Outcome of an exhaustive enumeration over the admitted domain."""
-
-    found_index: int | None
-    witness: dict[str, SoftFloat] | None
-    value_diverged: bool
-    flags_diverged: bool
-    states: int
-    checked: int
-
-    @property
-    def is_proof(self) -> bool:
-        """True when the whole domain was swept without a divergence —
-        an exhaustive equivalence proof over the admitted inputs."""
-        return self.found_index is None and self.checked == self.states
-
-
 def sweep_regions(
     expr: Expr,
     optimized: Expr,
@@ -420,19 +361,18 @@ def exhaustive_sweep(
     bindings: Mapping[str, object] | None = None,
     check_flags: bool = True,
     max_states: int = 1 << 22,
-    chunk: int = 4096,
     backend: str = "auto",
-) -> SweepResult:
+) -> SearchResult:
     """Enumerate every admitted operand combination, lane-parallel.
 
     The index space is the mixed-radix product of the per-variable
-    region sizes.  Values are compared bit-for-bit with all NaNs
-    identified; the first diverging index is re-checked scalar before
-    being reported.
+    region sizes, walked in index order by
+    :func:`repro.optsim.compliance.search` on ``backend``.  Values are
+    compared bit-for-bit with all NaNs identified; the first diverging
+    index is re-checked scalar before being reported.  The result's
+    ``states`` is the size of the domain, and ``is_proof`` holds when
+    the sweep covered it without a divergence.
     """
-    from repro.optsim.batch_eval import evaluate_many
-    from repro.optsim.compliance import _same_value, check_binding
-
     regions = sweep_regions(expr, optimized, config, bindings)
     names = sorted(regions)
     sizes = [regions[name].size for name in names]
@@ -445,7 +385,6 @@ def exhaustive_sweep(
             f" {max_states}-state budget; bind tighter"
         )
     fmt = config.fmt
-    strict_config = STRICT.replace(fmt=fmt)
 
     def binding_at(index: int) -> dict[str, SoftFloat]:
         out: dict[str, SoftFloat] = {}
@@ -454,38 +393,9 @@ def exhaustive_sweep(
             out[name] = SoftFloat(fmt, regions[name].select(digit))
         return out
 
-    checked = 0
-    for base_index in range(0, total, chunk):
-        hi = min(base_index + chunk, total)
-        batch = [binding_at(i) for i in range(base_index, hi)]
-        strict_results = evaluate_many(
-            expr, batch, strict_config, backend
-        )
-        opt_results = evaluate_many(optimized, batch, config, backend)
-        for offset, (s, o) in enumerate(zip(strict_results, opt_results)):
-            checked += 1
-            diverged = not _same_value(s.value, o.value) or (
-                check_flags and s.flags != o.flags
-            )
-            if diverged:
-                index = base_index + offset
-                binding = binding_at(index)
-                strict, opt, vdiv, fdiv = check_binding(
-                    expr, optimized, binding, config
-                )
-                return SweepResult(
-                    found_index=index,
-                    witness=binding,
-                    value_diverged=vdiv,
-                    flags_diverged=fdiv,
-                    states=total,
-                    checked=checked,
-                )
-    return SweepResult(
-        found_index=None,
-        witness=None,
-        value_diverged=False,
-        flags_diverged=False,
-        states=total,
-        checked=checked,
+    result = search(
+        expr, optimized, config,
+        ((binding_at(index), None) for index in range(total)),
+        check_flags=check_flags, backend=backend,
     )
+    return dataclasses.replace(result, states=total)

@@ -16,8 +16,10 @@ happens.  This module turns the static verdicts of
 
 - :func:`find_witness` — the driver: guided search inside the
   analysis-derived feasible regions (strategy ``"guided"``), the
-  historical uniform sampler (``"random"``), or full enumeration on
-  small formats (``"exhaustive"``).  Its :class:`WitnessReport`
+  random baseline filtered to the admitted bindings (``"random"``), or
+  full enumeration on small formats (``"exhaustive"``).  All three are
+  candidate sources for one walk, :func:`repro.optsim.compliance
+  .search`, whose result maps to one :class:`WitnessReport`.  It
   distinguishes *witnessed* (verified counterexample in hand),
   *proved-safe* / *refuted* (exhaustive sweep found the domain clean —
   for a ``safe`` verdict that's confirmation, for an ``unsafe`` one a
@@ -524,132 +526,75 @@ def find_witness(
     """Search for (or exhaustively rule out) a divergence witness.
 
     ``strategy`` selects ``"guided"`` (region- and coverage-steered),
-    ``"random"`` (the historical uniform candidate stream), or
-    ``"exhaustive"`` (full enumeration — small formats only).
+    ``"random"`` (the random baseline, filtered to the admitted
+    bindings), or ``"exhaustive"`` (full enumeration — small formats
+    only).
     ``expect_safe`` tells an exhaustive clean sweep how to label
     itself: confirmation of a safe verdict (``proved-safe``) or
     refutation of an unsafe one (``refuted``).  ``safety`` and
     ``analysis`` (of ``expr``) are handed on to the guided search.
     """
-    from repro.optsim.guided import exhaustive_sweep, guided_search
+    from repro.optsim import guided
+    from repro.optsim.compliance import random_search
 
     optimized = optimize(expr, config)
-
-    if strategy == "exhaustive":
-        result = exhaustive_sweep(
-            expr, optimized, config,
-            bindings=bindings, check_flags=check_flags,
-            max_states=max_states,
-        )
-        if result.found_index is None:
-            outcome = "refuted" if expect_safe is False else "proved-safe"
-            return WitnessReport(
-                outcome=outcome, witness=None, coverage=None,
-                evals=result.checked, states=result.states,
-                strategy=strategy,
-                detail=(
-                    f"all {result.states} admitted operand combinations"
-                    f" of {config.fmt.name} evaluate identically"
-                ),
-            )
-        witness = _seal(
-            expr, optimized, config, result.witness,
-            value_diverged=result.value_diverged,
-            flags_diverged=result.flags_diverged,
-            strategy=strategy, evals=result.checked, localize=localize,
-        )
-        return WitnessReport(
-            outcome="witnessed", witness=witness, coverage=None,
-            evals=result.checked, states=result.states, strategy=strategy,
-        )
-
     if strategy == "guided":
-        result = guided_search(
+        result = guided.guided_search(
             expr, optimized, config, bindings=bindings, safety=safety,
             analysis=analysis, seed=seed, trials=trials,
             check_flags=check_flags,
         )
-        if result.witness is not None:
-            witness = _seal(
-                expr, optimized, config, result.witness,
-                value_diverged=result.value_diverged,
-                flags_diverged=result.flags_diverged,
-                strategy=strategy, evals=result.evals, localize=localize,
-            )
-            return WitnessReport(
-                outcome="witnessed", witness=witness,
-                coverage=result.coverage, evals=result.evals, states=0,
-                strategy=strategy,
-                detail=f"goal '{result.goal}'" if result.goal else "",
-            )
-        return WitnessReport(
-            outcome="unresolved", witness=None, coverage=result.coverage,
-            evals=result.evals, states=0, strategy=strategy,
-            detail=f"no divergence in {result.evals} guided candidates",
-        )
+    elif strategy == "random":
+        from repro.staticfp.analyze import as_abstract
 
-    if strategy == "random":
-        return _random_witness(
-            expr, optimized, config, bindings,
-            seed=seed, trials=trials, check_flags=check_flags,
-            localize=localize,
-        )
-
-    raise ValueError(f"unknown witness strategy {strategy!r}")
-
-
-def _random_witness(
-    expr: Expr,
-    optimized: Expr,
-    config: MachineConfig,
-    bindings: Mapping[str, object] | None,
-    *,
-    seed: int,
-    trials: int,
-    check_flags: bool,
-    localize: bool,
-) -> WitnessReport:
-    """The baseline: the historical uniform candidate stream, filtered
-    to the admitted bindings.  The metric both strategies share is
-    candidates *consumed* — admission-rejected draws cost the random
-    baseline budget exactly as they would cost it wall-clock."""
-    from repro.optsim.compliance import check_binding, divergence_candidates
-    from repro.staticfp.analyze import as_abstract
-
-    admitted = {}
-    if bindings:
+        # The metric both strategies share is candidates *consumed*:
+        # admission-rejected draws cost the random baseline budget
+        # exactly as they would cost it wall-clock.
         admitted = {
             name: as_abstract(value, config.fmt)
-            for name, value in bindings.items()
+            for name, value in (bindings or {}).items()
         }
-    count = 0
-    for binding in divergence_candidates(
-        expr, config, seed=seed, trials=trials
-    ):
-        count += 1
-        if any(
-            name in admitted and not admitted[name].admits(value)
-            for name, value in binding.items()
-        ):
-            continue
-        strict, opt, value_diverged, flags_diverged = check_binding(
-            expr, optimized, binding, config
+        result = random_search(
+            expr, optimized, config, seed=seed, trials=trials,
+            check_flags=check_flags,
+            admit=lambda binding: all(
+                name not in admitted or admitted[name].admits(value)
+                for name, value in binding.items()
+            ),
         )
-        if value_diverged or (check_flags and flags_diverged):
-            witness = _seal(
-                expr, optimized, config, binding,
-                value_diverged=value_diverged,
-                flags_diverged=flags_diverged,
-                strategy="random", evals=count, localize=localize,
-            )
-            return WitnessReport(
-                outcome="witnessed", witness=witness, coverage=None,
-                evals=count, states=0, strategy="random",
-            )
+    elif strategy == "exhaustive":
+        result = guided.exhaustive_sweep(
+            expr, optimized, config,
+            bindings=bindings, check_flags=check_flags,
+            max_states=max_states,
+        )
+    else:
+        raise ValueError(f"unknown witness strategy {strategy!r}")
+
+    if result.witness is not None:
+        outcome = "witnessed"
+        detail = f"goal '{result.goal}'" if result.goal else ""
+    elif result.is_proof:
+        outcome = "refuted" if expect_safe is False else "proved-safe"
+        detail = (
+            f"all {result.states} admitted operand combinations"
+            f" of {config.fmt.name} evaluate identically"
+        )
+    else:
+        outcome = "unresolved"
+        detail = f"no divergence in {result.evals} {strategy} candidates"
     return WitnessReport(
-        outcome="unresolved", witness=None, coverage=None,
-        evals=count, states=0, strategy="random",
-        detail=f"no divergence in {count} random candidates",
+        outcome=outcome,
+        witness=(
+            _seal(expr, optimized, config, result, strategy=strategy,
+                  localize=localize)
+            if result.witness is not None else None
+        ),
+        coverage=result.coverage,
+        evals=result.evals,
+        states=result.states or 0,
+        strategy=strategy,
+        detail=detail,
     )
 
 
@@ -657,25 +602,22 @@ def _seal(
     expr: Expr,
     optimized: Expr,
     config: MachineConfig,
-    binding: Mapping[str, SoftFloat],
+    result,
     *,
-    value_diverged: bool,
-    flags_diverged: bool,
     strategy: str,
-    evals: int,
     localize: bool,
 ) -> Witness:
-    """Build, optionally localize, and verify a witness record."""
-    from repro.optsim.compliance import check_binding
-
-    strict, opt, _, _ = check_binding(expr, optimized, binding, config)
+    """Build, optionally localize, and verify the witness record of a
+    search result."""
     localization = (
-        localize_divergence(expr, optimized, binding, config)
+        localize_divergence(expr, optimized, result.witness, config)
         if localize else None
     )
     witness = Witness.from_search(
-        expr, optimized, config, binding, strict, opt,
-        value_diverged=value_diverged, flags_diverged=flags_diverged,
-        strategy=strategy, evals=evals, localization=localization,
+        expr, optimized, config, result.witness, result.strict_result,
+        result.optimized_result,
+        value_diverged=result.value_diverged,
+        flags_diverged=result.flags_diverged,
+        strategy=strategy, evals=result.evals, localization=localization,
     )
     return verify_witness(witness)

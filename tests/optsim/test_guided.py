@@ -201,16 +201,15 @@ class TestExhaustiveSweep:
         config = STRICT.replace(fmt=TINY8)
         optimized = optimize(expr, config)
         result = exhaustive_sweep(expr, optimized, config)
-        assert result.found_index is None
+        assert result.witness is None
         assert result.is_proof
         assert result.states == (1 << TINY8.width) ** 2
-        assert result.checked == result.states
+        assert result.evals == result.states
 
     def test_tiny8_finds_contraction_witness(self):
         expr = parse_expr("a*b + c")
         optimized = optimize(expr, TINY_O3)
         result = exhaustive_sweep(expr, optimized, TINY_O3)
-        assert result.found_index is not None
         assert result.witness is not None
         assert result.value_diverged or result.flags_diverged
         assert not result.is_proof
