@@ -30,7 +30,7 @@ from repro.errors import (
     OverflowTrap,
     UnderflowTrap,
 )
-from repro.fpenv.flags import FPFlag
+from repro.fpenv.flags import FLAGS_BY_VALUE, FPFlag
 from repro.fpenv.rounding import RoundingMode
 from repro.telemetry.runtime import active_recorder
 
@@ -106,12 +106,15 @@ class FPEnv:
         """
         if flags is FPFlag.NONE:
             return
-        self.flags |= flags
+        # Flag sets combine by table lookup on their values: the enum
+        # operators are Python-level calls, and this runs once per
+        # inexact operation.
+        self.flags = FLAGS_BY_VALUE[self.flags._value_ | flags._value_]
         recorder = self.recorder
         if recorder is not None:
             recorder.record_flags(operation, flags)
-        trapped = flags & self.traps
-        if trapped:
+        if flags._value_ & self.traps._value_:
+            trapped = flags & self.traps
             for member, exc in _TRAP_CLASSES.items():
                 if member in trapped:
                     raise exc(member, operation)
@@ -126,7 +129,7 @@ class FPEnv:
 
     def clear_flags(self, flags: FPFlag = FPFlag.ALL) -> None:
         """Clear the given sticky flags (all of them by default)."""
-        self.flags &= ~flags
+        self.flags = FLAGS_BY_VALUE[self.flags._value_ & ~flags._value_]
 
     def copy(self, *, clear: bool = False) -> "FPEnv":
         """Return an independent copy, optionally with flags cleared."""

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 
-__all__ = ["FPFlag", "FLAG_ORDER", "flag_names", "flags_from_names"]
+__all__ = ["FPFlag", "FLAG_ORDER", "FLAGS_BY_VALUE", "flag_names", "flags_from_names"]
 
 
 class FPFlag(enum.Flag):
@@ -43,6 +43,15 @@ class FPFlag(enum.Flag):
     ALL = INVALID | DIV_BY_ZERO | OVERFLOW | UNDERFLOW | INEXACT | DENORMAL_RESULT
     #: The five exceptions defined by IEEE 754 itself.
     IEEE = INVALID | DIV_BY_ZERO | OVERFLOW | UNDERFLOW | INEXACT
+
+
+#: Every flag set, indexed by its value: ``FLAGS_BY_VALUE[a.value | b.value]``
+#: is ``a | b`` without the Python-level ``enum.Flag`` operator call, and
+#: a backend's per-lane flag byte maps to its set by one index.  Entries
+#: are the canonical members, so ``is FPFlag.NONE`` tests still hold.
+FLAGS_BY_VALUE: tuple[FPFlag, ...] = tuple(
+    FPFlag(value) for value in range(FPFlag.ALL.value + 1)
+)
 
 
 #: Canonical display order for reports (matches the suspicion quiz order:

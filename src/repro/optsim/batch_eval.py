@@ -23,7 +23,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from repro.errors import OptimizationError
-from repro.fpenv.flags import FPFlag
+from repro.fpenv.flags import FLAGS_BY_VALUE
 from repro.optsim.ast import FMA, Binary, BinOp, Const, Expr, Unary, UnOp, Var
 from repro.optsim.evaluator import EvalResult, const_value
 from repro.optsim.machine import STRICT, MachineConfig
@@ -99,11 +99,11 @@ def evaluate_many(
     bits = _eval_lanes(expr, var_source, n, config, backend_obj, flags)
     return [
         EvalResult(
-            value=SoftFloat(fmt, int(bits[i])),
-            flags=FPFlag(int(flags[i])),
+            value=SoftFloat(fmt, lane_bits),
+            flags=FLAGS_BY_VALUE[lane_flags],
             config=config,
         )
-        for i in range(n)
+        for lane_bits, lane_flags in zip(bits.tolist(), flags.tolist())
     ]
 
 

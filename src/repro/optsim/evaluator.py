@@ -19,7 +19,7 @@ from collections.abc import Callable, Mapping
 
 from repro.errors import OptimizationError
 from repro.fpenv.env import FPEnv
-from repro.fpenv.flags import FPFlag
+from repro.fpenv.flags import FLAGS_BY_VALUE, FPFlag
 from repro.optsim.ast import FMA, Binary, BinOp, Const, Expr, Unary, UnOp, Var
 from repro.optsim.machine import STRICT, MachineConfig
 from repro.softfloat import (
@@ -135,7 +135,7 @@ def _run(hook, node: Expr, env: FPEnv, fn, *args) -> SoftFloat:
         result = fn(*args, env)
         hook(node, env.flags)
     finally:
-        env.flags |= saved
+        env.flags = FLAGS_BY_VALUE[env.flags._value_ | saved._value_]
     return result
 
 

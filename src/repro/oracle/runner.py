@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.engine.tasks import spec_job, task
 from repro.errors import ReproError
-from repro.fpenv.flags import FPFlag
+from repro.fpenv.flags import FLAGS_BY_VALUE, FPFlag
 from repro.fpenv.rounding import RoundingMode
 from repro.oracle.cases import (
     EXHAUSTIVE_WIDTH_LIMIT,
@@ -126,10 +126,6 @@ _ENGINE_CHUNK = 4096
 #: stream order.  Bounds memory on large budgets.
 _EVAL_WINDOW = 16 * _ENGINE_CHUNK
 
-#: ``FPFlag`` by flag-byte value: a backend's per-lane flag byte maps
-#: to its flag set by one index instead of one enum construction.
-_FLAGS_BY_VALUE = tuple(FPFlag(value) for value in range(FPFlag.ALL.value + 1))
-
 
 def _tier(backend, op: str, fmt: FloatFormat, cell: tuple):
     """The backend that serves one (mode, FTZ, DAZ) cell's lanes: what
@@ -205,7 +201,7 @@ def _engine_results(
             batch = caller.run_packed(op, fmt, lanes, *chunk_env)
             for pos, bits, flags in zip(chunk, batch.bits.tolist(),
                                         batch.flags.tolist()):
-                results[pos] = (bits, _FLAGS_BY_VALUE[flags])
+                results[pos] = (bits, FLAGS_BY_VALUE[flags])
     return results
 
 

@@ -21,6 +21,12 @@ from repro.softfloat.formats import FloatFormat
 
 __all__ = ["round_and_pack", "split_mantissa", "overflow_result_bits"]
 
+#: The flag sets :func:`round_and_pack` raises, built once: the enum
+#: ``|`` is a Python-level call, and this runs once per rounded result.
+_TINY_INEXACT = FPFlag.UNDERFLOW | FPFlag.INEXACT
+_OVERFLOW = FPFlag.OVERFLOW | FPFlag.INEXACT
+_DENORMAL_INEXACT = FPFlag.DENORMAL_RESULT | _TINY_INEXACT
+
 
 def split_mantissa(mant: int, shift: int, sticky: int) -> tuple[int, int, int]:
     """Split ``mant`` into (kept, round_bit, sticky') after shifting right
@@ -88,7 +94,7 @@ def round_and_pack(
         lsb_exp = msb_exp - (precision - 1)
 
     kept, round_bit, stk = split_mantissa(mant, lsb_exp - exp2, sticky)
-    inexact = bool(round_bit or stk)
+    inexact = round_bit or stk
 
     if mode.rounds_away(sign, kept & 1, round_bit, stk):
         kept += 1
@@ -97,11 +103,12 @@ def round_and_pack(
             kept >>= 1
             lsb_exp += 1
 
-    flags = FPFlag.NONE
-    if inexact:
-        flags |= FPFlag.INEXACT
-        if tiny:
-            flags |= FPFlag.UNDERFLOW
+    if not inexact:
+        flags = FPFlag.NONE
+    elif tiny:
+        flags = _TINY_INEXACT
+    else:
+        flags = FPFlag.INEXACT
 
     if kept == 0:
         # The tiny value rounded down to zero.
@@ -110,7 +117,9 @@ def round_and_pack(
 
     rounded_msb_exp = lsb_exp + kept.bit_length() - 1
     if rounded_msb_exp > fmt.emax:
-        env.raise_flags(flags | FPFlag.OVERFLOW | FPFlag.INEXACT, operation)
+        # A tiny value rounds to at most 2**emin, so it never gets here:
+        # the flags are exactly overflow and inexact.
+        env.raise_flags(_OVERFLOW, operation)
         return overflow_result_bits(fmt, mode, sign)
 
     if kept.bit_length() == precision:
@@ -124,9 +133,9 @@ def round_and_pack(
     if lsb_exp != fmt.emin - (precision - 1):  # pragma: no cover - invariant
         raise AssertionError("subnormal result at the wrong granularity")
     if env.ftz:
-        env.raise_flags(
-            flags | FPFlag.UNDERFLOW | FPFlag.INEXACT, operation
-        )
+        env.raise_flags(_TINY_INEXACT, operation)
         return fmt.zero_bits(sign)
-    env.raise_flags(flags | FPFlag.DENORMAL_RESULT, operation)
+    # Only a tiny value lands here, so ``flags`` is none or tiny-inexact.
+    env.raise_flags(_DENORMAL_INEXACT if inexact else FPFlag.DENORMAL_RESULT,
+                    operation)
     return fmt.pack(sign, 0, kept)

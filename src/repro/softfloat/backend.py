@@ -275,38 +275,34 @@ class ScalarBackend(SoftFloatBackend):
         dst_fmt: FloatFormat | None = None,
     ) -> BatchResult:
         lane_type = lane_dtype(fmt, dst_fmt)
-        arrays = [np.asarray(o, dtype=lane_type) for o in operands]
-        if len(arrays) != BACKEND_OP_ARITY.get(op, -1):
+        if len(operands) != BACKEND_OP_ARITY.get(op, -1):
             raise ValueError(f"{op} expects {BACKEND_OP_ARITY.get(op)} operands")
-        n = int(arrays[0].shape[0])
-        bits_out = np.zeros(n, dtype=lane_type)
-        flags_out = np.zeros(n, dtype=np.uint8)
-
-        envs = _fresh_envs(n, mode, ftz, daz)
+        # One list per operand in, one array per output out: per-lane
+        # numpy indexing and stores cost more than the op itself.
+        columns = [np.asarray(o, dtype=lane_type).tolist() for o in operands]
+        envs = _fresh_envs(len(columns[0]), mode, ftz, daz)
+        bits_out: list[int] = []
+        flags_out: list[int] = []
 
         if op in ("compare_quiet", "compare_signaling"):
             signaling = op == "compare_signaling"
-            for i, env in enumerate(envs):
-                a = SoftFloat(fmt, int(arrays[0][i]))
-                b = SoftFloat(fmt, int(arrays[1][i]))
-                bits_out[i] = compare_code(a, b, env, signaling=signaling)
-                flags_out[i] = env.flags.value
-            return BatchResult(bits_out, flags_out)
-
-        if op == "convert":
+            for env, a, b in zip(envs, *columns, strict=True):
+                bits_out.append(compare_code(SoftFloat(fmt, a), SoftFloat(fmt, b),
+                                             env, signaling=signaling))
+                flags_out.append(env.flags.value)
+        elif op == "convert":
             if dst_fmt is None:
                 raise ValueError("convert requires dst_fmt")
-            for i, env in enumerate(envs):
-                bits_out[i] = convert_bits(int(arrays[0][i]), fmt, dst_fmt, env)
-                flags_out[i] = env.flags.value
-            return BatchResult(bits_out, flags_out)
-
-        kernel = _SCALAR_KERNELS[op]
-        for i, env in enumerate(envs):
-            args = [SoftFloat(fmt, int(a[i])) for a in arrays]
-            bits_out[i] = kernel(*args, env).bits
-            flags_out[i] = env.flags.value
-        return BatchResult(bits_out, flags_out)
+            for env, a in zip(envs, columns[0], strict=True):
+                bits_out.append(convert_bits(a, fmt, dst_fmt, env))
+                flags_out.append(env.flags.value)
+        else:
+            kernel = _SCALAR_KERNELS[op]
+            for env, *lane in zip(envs, *columns, strict=True):
+                bits_out.append(kernel(*[SoftFloat(fmt, x) for x in lane], env).bits)
+                flags_out.append(env.flags.value)
+        return BatchResult(np.array(bits_out, dtype=lane_type),
+                           np.array(flags_out, dtype=np.uint8))
 
 
 class AutoBackend(SoftFloatBackend):

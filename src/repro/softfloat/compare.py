@@ -48,28 +48,24 @@ class Ordering(enum.Enum):
     UNORDERED = None
 
 
-def _magnitude_key(x: SoftFloat) -> tuple[int, int]:
-    """Monotone key for finite/infinite magnitudes within one format.
-
-    The IEEE encodings are ordered as unsigned integers within a sign,
-    so the key is simply (biased exponent, fraction).
-    """
-    return (x.biased_exp, x.frac)
-
-
 def _ordered_compare(a: SoftFloat, b: SoftFloat) -> Ordering:
-    """Compare two non-NaN values."""
-    if a.is_zero and b.is_zero:
+    """Compare two non-NaN values of one format.
+
+    Within a sign the encodings are ordered as unsigned integers, so
+    the magnitudes ``bits & abs_mask`` compare directly.
+    """
+    abs_mask = a.fmt.abs_mask
+    mag_a, mag_b = a.bits & abs_mask, b.bits & abs_mask
+    if not (mag_a or mag_b):
         return Ordering.EQUAL  # +0 == -0
-    if a.sign != b.sign:
-        return Ordering.LESS if a.sign else Ordering.GREATER
-    ka, kb = _magnitude_key(a), _magnitude_key(b)
-    if ka == kb:
+    sign_a, sign_b = a.sign, b.sign
+    if sign_a != sign_b:
+        return Ordering.LESS if sign_a else Ordering.GREATER
+    if mag_a == mag_b:
         return Ordering.EQUAL
-    smaller_mag = ka < kb
-    if a.sign:  # both negative: larger magnitude is smaller
-        return Ordering.GREATER if smaller_mag else Ordering.LESS
-    return Ordering.LESS if smaller_mag else Ordering.GREATER
+    if sign_a:  # both negative: larger magnitude is smaller
+        return Ordering.GREATER if mag_a < mag_b else Ordering.LESS
+    return Ordering.LESS if mag_a < mag_b else Ordering.GREATER
 
 
 def fp_compare_quiet(
@@ -77,9 +73,8 @@ def fp_compare_quiet(
 ) -> Ordering:
     """Quiet four-way comparison; NaNs yield ``UNORDERED`` and raise
     *invalid* only when signaling."""
-    env = env or get_env()
     if a.is_signaling_nan or b.is_signaling_nan:
-        env.raise_flags(FPFlag.INVALID, "compare")
+        (env or get_env()).raise_flags(FPFlag.INVALID, "compare")
         return Ordering.UNORDERED
     if a.is_nan or b.is_nan:
         return Ordering.UNORDERED
@@ -90,9 +85,8 @@ def fp_compare_signaling(
     a: SoftFloat, b: SoftFloat, env: FPEnv | None = None
 ) -> Ordering:
     """Signaling four-way comparison; any NaN raises *invalid*."""
-    env = env or get_env()
     if a.is_nan or b.is_nan:
-        env.raise_flags(FPFlag.INVALID, "compare")
+        (env or get_env()).raise_flags(FPFlag.INVALID, "compare")
         return Ordering.UNORDERED
     return _ordered_compare(a, b)
 

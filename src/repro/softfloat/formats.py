@@ -72,6 +72,14 @@ class FloatFormat:
     quiet_bit: int = _derived()
     #: The implicit leading significand bit value, ``2**(p-1)``.
     hidden_bit: int = _derived()
+    #: Shift that brings the sign bit down to bit 0 (``width - 1``).
+    sign_shift: int = _derived()
+    #: Mask of every bit but the sign: ``bits & abs_mask`` is the
+    #: magnitude, which orders encodings within one sign.
+    abs_mask: int = _derived()
+    #: Magnitude of infinity: above it lie the NaNs, below it the finite
+    #: values; ``hidden_bit`` splits those into subnormals and normals.
+    inf_mag: int = _derived()
 
     def __post_init__(self) -> None:
         if self.exp_bits < 2:
@@ -80,9 +88,10 @@ class FloatFormat:
             raise FormatError(f"precision needs >= 2 bits, got {self.precision}")
         frac_bits = self.precision - 1
         bias = (1 << (self.exp_bits - 1)) - 1
+        width = 1 + self.exp_bits + frac_bits
         derived = {
             "frac_bits": frac_bits,
-            "width": 1 + self.exp_bits + frac_bits,
+            "width": width,
             "bias": bias,
             "emax": bias,
             "emin": 1 - bias,
@@ -90,6 +99,9 @@ class FloatFormat:
             "sig_mask": (1 << frac_bits) - 1,
             "quiet_bit": 1 << (frac_bits - 1),
             "hidden_bit": 1 << frac_bits,
+            "sign_shift": width - 1,
+            "abs_mask": (1 << (width - 1)) - 1,
+            "inf_mag": ((1 << self.exp_bits) - 1) << frac_bits,
         }
         if not self.name:
             derived["name"] = f"E{self.exp_bits}M{frac_bits}"

@@ -59,9 +59,9 @@ F_DENORMAL = np.uint8(FPFlag.DENORMAL_RESULT.value)
 
 #: Special lanes go to the batch kernels when a call has more than this
 #: many, else to the scalar reference.  Measured on a 2-vCPU x86-64 host
-#: (RNE, best of 30): scalar costs ~12 µs per special lane, a batch call
-#: a near-flat 380–670 µs, so the two tie at ~32 lanes (binary32 sqrt),
-#: ~38 (mul, div) and ~55 (binary32 and binary64 add).
+#: (RNE, best of 30): scalar costs 4–6 µs per special lane, a batch call
+#: a near-flat 210–400 µs, so the two tie at ~42 lanes (binary32 mul,
+#: div), ~55 (binary32 sqrt) and ~62 (binary32 and binary64 add).
 BATCH_SPECIALS_ABOVE = 40
 
 

@@ -81,7 +81,7 @@ class SoftFloat:
     @property
     def sign(self) -> int:
         """Sign bit: 0 positive, 1 negative (NaNs carry a sign too)."""
-        return self._bits >> (self._fmt.width - 1)
+        return self._bits >> self._fmt.sign_shift
 
     @property
     def biased_exp(self) -> int:
@@ -96,50 +96,63 @@ class SoftFloat:
     # ------------------------------------------------------------------
     # Classification
     # ------------------------------------------------------------------
+    # Each class is a range of the magnitude ``bits & abs_mask``:
+    # 0 is zero, below ``hidden_bit`` subnormal, below ``inf_mag``
+    # normal, ``inf_mag`` itself infinity, and above it NaN.  Every
+    # property reads the magnitude once and calls no other property.
     @property
     def is_nan(self) -> bool:
         """True for quiet and signaling NaNs."""
-        return self.biased_exp == self._fmt.max_biased_exp and self.frac != 0
+        fmt = self._fmt
+        return self._bits & fmt.abs_mask > fmt.inf_mag
 
     @property
     def is_quiet_nan(self) -> bool:
         """True for quiet NaNs (quiet bit set)."""
-        return self.is_nan and bool(self.frac & self._fmt.quiet_bit)
+        fmt = self._fmt
+        mag = self._bits & fmt.abs_mask
+        return mag > fmt.inf_mag and bool(mag & fmt.quiet_bit)
 
     @property
     def is_signaling_nan(self) -> bool:
         """True for signaling NaNs (quiet bit clear, payload nonzero)."""
-        return self.is_nan and not (self.frac & self._fmt.quiet_bit)
+        fmt = self._fmt
+        mag = self._bits & fmt.abs_mask
+        return mag > fmt.inf_mag and not mag & fmt.quiet_bit
 
     @property
     def is_inf(self) -> bool:
         """True for ±infinity."""
-        return self.biased_exp == self._fmt.max_biased_exp and self.frac == 0
+        fmt = self._fmt
+        return self._bits & fmt.abs_mask == fmt.inf_mag
 
     @property
     def is_zero(self) -> bool:
         """True for ±0."""
-        return self.biased_exp == 0 and self.frac == 0
+        return not self._bits & self._fmt.abs_mask
 
     @property
     def is_subnormal(self) -> bool:
         """True for nonzero subnormals (the 'denormalized numbers')."""
-        return self.biased_exp == 0 and self.frac != 0
+        fmt = self._fmt
+        return 0 < self._bits & fmt.abs_mask < fmt.hidden_bit
 
     @property
     def is_normal(self) -> bool:
         """True for normal finite nonzero values."""
-        return 0 < self.biased_exp < self._fmt.max_biased_exp
+        fmt = self._fmt
+        return fmt.hidden_bit <= self._bits & fmt.abs_mask < fmt.inf_mag
 
     @property
     def is_finite(self) -> bool:
         """True for zeros, subnormals, and normals."""
-        return self.biased_exp < self._fmt.max_biased_exp
+        fmt = self._fmt
+        return self._bits & fmt.abs_mask < fmt.inf_mag
 
     @property
     def is_negative(self) -> bool:
         """True when the sign bit is set (including -0 and -NaN)."""
-        return self.sign == 1
+        return self._bits >> self._fmt.sign_shift == 1
 
     def classify(self) -> FPClass:
         """IEEE 754 ``class()``: the ten-way classification."""
@@ -165,16 +178,17 @@ class SoftFloat:
     def significand_value(self) -> tuple[int, int]:
         """Finite value as ``(mantissa, exp2)``: magnitude = mant * 2**exp2.
 
-        Zeros return ``(0, 0)``.  Raises :class:`FormatError` for
-        non-finite values.
+        Zeros return ``(0, emin - frac_bits)``, the subnormal scale.
+        Raises :class:`FormatError` for non-finite values.
         """
-        if not self.is_finite:
-            raise FormatError(f"{self!r} has no finite value")
         fmt = self._fmt
-        if self.biased_exp == 0:
-            return self.frac, fmt.emin - fmt.frac_bits
-        mant = self.frac | fmt.hidden_bit
-        return mant, self.biased_exp - fmt.bias - fmt.frac_bits
+        mag = self._bits & fmt.abs_mask
+        if mag >= fmt.inf_mag:
+            raise FormatError(f"{self!r} has no finite value")
+        if mag < fmt.hidden_bit:
+            return mag, fmt.emin - fmt.frac_bits
+        exp2 = (mag >> fmt.frac_bits) - fmt.bias - fmt.frac_bits
+        return (mag & fmt.sig_mask) | fmt.hidden_bit, exp2
 
     def to_fraction(self) -> Fraction:
         """Exact rational value of a finite SoftFloat."""
@@ -289,18 +303,19 @@ class SoftFloat:
     # Sign-bit operations (quiet: never raise flags, per IEEE 5.5.1)
     # ------------------------------------------------------------------
     def __neg__(self) -> "SoftFloat":
-        return SoftFloat(self._fmt, self._bits ^ (1 << (self._fmt.width - 1)))
+        return SoftFloat(self._fmt, self._bits ^ (1 << self._fmt.sign_shift))
 
     def __abs__(self) -> "SoftFloat":
-        return SoftFloat(self._fmt, self._bits & ~(1 << (self._fmt.width - 1)))
+        return SoftFloat(self._fmt, self._bits & self._fmt.abs_mask)
 
     def __pos__(self) -> "SoftFloat":
         return self
 
     def copysign(self, other: "SoftFloat") -> "SoftFloat":
         """This magnitude with ``other``'s sign (quiet)."""
-        mag = self._bits & ~(1 << (self._fmt.width - 1))
-        return SoftFloat(self._fmt, mag | (other.sign << (self._fmt.width - 1)))
+        fmt = self._fmt
+        mag = self._bits & fmt.abs_mask
+        return SoftFloat(fmt, mag | (other.sign << fmt.sign_shift))
 
     # ------------------------------------------------------------------
     # Arithmetic operators (dispatch through the active environment)

@@ -54,12 +54,14 @@ __all__ = [
 _ROUNDING_OPS = frozenset({"add", "sub", "mul", "div", "fma", "sqrt"})
 
 
+# Ordered comparisons raise a flag (invalid) only on a NaN operand; it
+# goes to a throwaway environment, and no environment is built otherwise.
 def _lt(a: SoftFloat, b: SoftFloat) -> bool:
-    return fp_lt(a, b, FPEnv())
+    return fp_lt(a, b, FPEnv() if a.is_nan or b.is_nan else None)
 
 
 def _le(a: SoftFloat, b: SoftFloat) -> bool:
-    return fp_le(a, b, FPEnv())
+    return fp_le(a, b, FPEnv() if a.is_nan or b.is_nan else None)
 
 
 def _min_sf(values: list[SoftFloat]) -> SoftFloat:

@@ -94,15 +94,15 @@ def _flags_from_names(names: list[str]) -> enum.Flag | None:
     if key in _FLAGS_FROM_NAMES:
         return _FLAGS_FROM_NAMES[key]
     try:
-        from repro.fpenv.flags import FPFlag
+        from repro.fpenv.flags import FLAGS_BY_VALUE, FPFlag
     except ImportError:  # pragma: no cover - fpenv always present here
         return None
-    combined = FPFlag(0)
+    combined = 0
     for name in names:
         member = FPFlag.__members__.get(str(name).upper())
         if member is not None:
-            combined |= member
-    result = combined if combined else None
+            combined |= member.value
+    result = FLAGS_BY_VALUE[combined] if combined else None
     _FLAGS_FROM_NAMES[key] = result
     return result
 
