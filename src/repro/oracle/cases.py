@@ -85,9 +85,7 @@ def boundary_operands(fmt: FloatFormat) -> list[int]:
 
 def random_operands(fmt: FloatFormat, rng: random.Random) -> Iterator[int]:
     """An endless seeded stream of uniform bit patterns."""
-    width = fmt.width
-    while True:
-        yield rng.getrandbits(width)
+    return map(rng.getrandbits, itertools.repeat(fmt.width))
 
 
 def generate_cases(
@@ -105,17 +103,17 @@ def generate_cases(
     from ``seed`` when omitted, and never shared module state), so the
     stream for a given ``(fmt, arity, budget, seed)`` is reproducible
     anywhere — including inside engine worker processes replaying a
-    slice of the same stream.
+    slice of the same stream.  Draws happen lazily, in stream order: a
+    ternary lattice case draws its third corner when it is reached, and
+    each random case draws its operands left to right.
     """
-    produced = 0
     rng = rng or random.Random(seed)
+    budget = max(budget, 0)
 
     if fmt.width <= EXHAUSTIVE_WIDTH_LIMIT:
         space = (1 << fmt.width) ** arity
         if space <= budget:
-            yield from itertools.product(
-                exhaustive_operands(fmt), repeat=arity)
-            return
+            return itertools.product(exhaustive_operands(fmt), repeat=arity)
 
     corners = boundary_operands(fmt)
     if arity <= 2:
@@ -124,13 +122,9 @@ def generate_cases(
     else:
         pairs = itertools.product(corners, repeat=2)
         lattice = ((a, b, rng.choice(corners)) for a, b in pairs)
-    for case in lattice:
-        if produced >= budget:
-            return
-        yield case
-        produced += 1
-
-    stream = random_operands(fmt, rng)
-    while produced < budget:
-        yield tuple(next(stream) for _ in range(arity))
-        produced += 1
+    n_lattice = min(budget, len(corners) ** min(arity, 2))
+    # zip pulls its arguments in order, so each case takes the next
+    # ``arity`` draws of the one stream, left to right.
+    fill = zip(*[random_operands(fmt, rng)] * arity)
+    return itertools.chain(itertools.islice(lattice, n_lattice),
+                           itertools.islice(fill, budget - n_lattice))

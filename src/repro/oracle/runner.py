@@ -4,7 +4,8 @@ For every generated case the runner executes the operation three ways —
 
 1. the softfloat **engine**, through a softfloat backend
    (:func:`repro.softfloat.get_backend`; each lane a fresh environment),
-2. the exact-rounding **oracle** (:mod:`repro.oracle.exact`),
+2. the exact-rounding **oracle** (:mod:`repro.oracle.exact`), one
+   independent call per evaluation,
 3. where the host natively implements the format and the environment
    is the hardware default, **native** floats via numpy —
 
@@ -17,6 +18,12 @@ Every environment combination the quiz references is driven: all five
 rounding directions crossed with FTZ/DAZ off and on.  Boundary-lattice
 cases are checked under *every* combination; random-stream cases cycle
 through the matrix round-robin so a budget buys breadth first.
+
+The runner is columnar: it draws a window of evaluations from the case
+stream, computes the engine side as result columns (one backend call
+per serving tier), the oracle side as one call per evaluation, and the
+verdicts as array comparisons.  Only mismatching positions become
+records, in stream order.
 
 A sweep runs as one job on the execution engine (:mod:`repro.engine`):
 each op's case stream is cut into slices, each slice is one
@@ -121,9 +128,9 @@ class OracleMismatch(ReproError):
 #: cache for wide formats.
 _ENGINE_CHUNK = 4096
 
-#: Evaluations drawn from the case stream per engine pass: the engine
-#: side of a window is computed in bulk, then the oracle replays it in
-#: stream order.  Bounds memory on large budgets.
+#: Evaluations drawn from the case stream per window: the engine,
+#: oracle and native sides of a window are computed as columns, then
+#: compared.  Bounds memory on large budgets.
 _EVAL_WINDOW = 16 * _ENGINE_CHUNK
 
 
@@ -137,87 +144,83 @@ def _tier(backend, op: str, fmt: FloatFormat, cell: tuple):
             else get_backend("scalar"))
 
 
-def _engine_results(
+def _engine_columns(
     op: str,
     fmt: FloatFormat,
-    evals: Sequence[tuple],
+    columns: Sequence[np.ndarray],
+    cells: np.ndarray,
+    matrix: tuple,
     backend,
-) -> list[tuple[int, FPFlag]]:
-    """The engine side of ``evals``, computed through a softfloat backend.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The engine side of a window: result bits and flag bytes aligned
+    with ``cells``, the lanes' indices into ``matrix``, for the operand
+    ``columns``.
 
-    Rows end in ``(operands, mode, ftz, daz)``.  Rows are grouped by the
-    *tier* that serves their cell (:func:`_tier`), not by cell, and each
-    tier gets one ``run_packed`` call per :data:`_ENGINE_CHUNK` lanes —
-    through ``backend`` when it is ``auto`` (so its dispatch and
-    counters see every call), else through the tier itself.  A group
-    whose rows share one cell passes the environment as single values;
-    a mixed group passes it as lanes (mode codes and FTZ/DAZ bools, see
-    :mod:`repro.softfloat.backend`), which ``auto`` routes to the same
-    tier its cells select one by one.  So every lane is served by the
-    tier a per-cell call would use, and only the number of calls
-    depends on how many cells a window holds.  Cells the backend does
-    not support (e.g. binary128 on the integer-lane batch kernels) run
-    on :class:`~repro.softfloat.backend.ScalarBackend`, which supports
+    Lanes are grouped by the *tier* that serves their cell
+    (:func:`_tier`), not by cell, and each tier gets one ``run_packed``
+    call per :data:`_ENGINE_CHUNK` lanes — through ``backend`` when it
+    is ``auto`` (so its dispatch and counters see every call), else
+    through the tier itself.  A group whose lanes share one environment
+    passes it as single values; a mixed group passes it as lanes
+    (mode codes and FTZ/DAZ bools, see :mod:`repro.softfloat.backend`),
+    which ``auto`` routes to the same tier its cells select one by one.
+    So every lane is served by the tier a per-cell call would use, and
+    only the number of calls depends on how many cells a window holds.
+    Cells the backend does not support (e.g. binary128 on the
+    integer-lane batch kernels) run on
+    :class:`~repro.softfloat.backend.ScalarBackend`, which supports
     every op and format, so the differential verdict never depends on
-    backend coverage.  Results come back aligned with ``evals`` as
-    ``(bits, FPFlag)`` pairs.
+    backend coverage.
     """
-    cells: dict[tuple, list[int]] = {}
-    for pos, row in enumerate(evals):
-        cells.setdefault(row[-3:], []).append(pos)
-    tiers: dict[object, list[tuple]] = {}
-    for cell, positions in cells.items():
-        tiers.setdefault(_tier(backend, op, fmt, cell), []).append(
-            (cell, positions))
-
-    results: list = [None] * len(evals)
-    arity = OP_ARITY[op]
-    dtype = lane_dtype(fmt)
+    groups: dict[object, list[int]] = {}
+    present = np.flatnonzero(np.bincount(cells, minlength=len(matrix)))
+    for cell in present.tolist():
+        mode, (ftz, daz) = matrix[cell]
+        groups.setdefault(_tier(backend, op, fmt, (mode, ftz, daz)),
+                          []).append(cell)
+    modes, ftzs, dazs = zip(*((MODE_CODES[mode], ftz, daz)
+                              for mode, (ftz, daz) in matrix))
+    env_by_cell = (np.array(modes, dtype=np.uint8),
+                   np.array(ftzs, dtype=bool), np.array(dazs, dtype=bool))
+    bits = np.empty(len(cells), dtype=lane_dtype(fmt))
+    flags = np.empty(len(cells), dtype=np.uint8)
     via_auto = isinstance(backend, AutoBackend)
-    for tier, group in tiers.items():
+    for tier, group in groups.items():
         caller = backend if via_auto else tier
-        positions = [pos for _, cell_positions in group
-                     for pos in cell_positions]
-        if len(group) == 1:
-            env = group[0][0]
+        positions = (np.flatnonzero(np.isin(cells, group))
+                     if len(groups) > 1 else np.arange(len(cells)))
+        single = len({matrix[cell] for cell in group}) == 1
+        if single:
+            mode, (ftz, daz) = matrix[group[0]]
+            env = (mode, ftz, daz)
         else:
-            counts = [len(cell_positions) for _, cell_positions in group]
-            modes, ftzs, dazs = zip(*(cell for cell, _ in group))
-            env = (
-                np.repeat(np.array([MODE_CODES[m] for m in modes],
-                                   dtype=np.uint8), counts),
-                np.repeat(np.array(ftzs, dtype=bool), counts),
-                np.repeat(np.array(dazs, dtype=bool), counts),
-            )
+            env = tuple(table[cells[positions]] for table in env_by_cell)
         for start in range(0, len(positions), _ENGINE_CHUNK):
             stop = start + _ENGINE_CHUNK
             chunk = positions[start:stop]
-            lanes = [
-                np.array([evals[pos][-4][slot] for pos in chunk], dtype=dtype)
-                for slot in range(arity)
-            ]
-            chunk_env = (env if len(group) == 1
+            chunk_env = (env if single
                          else tuple(column[start:stop] for column in env))
-            batch = caller.run_packed(op, fmt, lanes, *chunk_env)
-            for pos, bits, flags in zip(chunk, batch.bits.tolist(),
-                                        batch.flags.tolist()):
-                results[pos] = (bits, FLAGS_BY_VALUE[flags])
-    return results
+            result = caller.run_packed(
+                op, fmt, [column[chunk] for column in columns], *chunk_env)
+            bits[chunk] = result.bits
+            flags[chunk] = result.flags
+    return bits, flags
 
 
-def _compare(
+def _discrepancy(
     op: str,
     fmt: FloatFormat,
     operands: tuple[int, ...],
     cfg: OracleConfig,
     engine_bits: int,
     engine_flags: FPFlag,
+    oracle_bits: int,
+    oracle_flags: FPFlag,
 ) -> Discrepancy | None:
-    """The oracle half of one evaluation: ``None`` when the engine's
-    result bits and sticky flags match the exact oracle's."""
-    oracle = oracle_operation(op, fmt, cfg, *operands)
-    value_ok = engine_bits == oracle.bits
-    flags_ok = engine_flags == oracle.flags
+    """The verdict on one evaluation: ``None`` when the engine's result
+    bits and sticky flags match the exact oracle's."""
+    value_ok = engine_bits == oracle_bits
+    flags_ok = engine_flags == oracle_flags
     if value_ok and flags_ok:
         return None
     kind = ("both" if not value_ok and not flags_ok
@@ -231,9 +234,9 @@ def _compare(
         daz=cfg.daz,
         tininess=cfg.tininess,
         engine_bits=engine_bits,
-        oracle_bits=oracle.bits,
+        oracle_bits=oracle_bits,
         engine_flags=engine_flags,
-        oracle_flags=oracle.flags,
+        oracle_flags=oracle_flags,
         kind=kind,
     )
 
@@ -250,10 +253,15 @@ def check_case(
 ) -> Discrepancy | None:
     """Run one case differentially on the scalar reference backend;
     ``None`` means engine == oracle."""
-    [(engine_bits, engine_flags)] = _engine_results(
-        op, fmt, [(operands, mode, ftz, daz)], get_backend("scalar"))
+    dtype = lane_dtype(fmt)
+    engine = get_backend("scalar").run_packed(
+        op, fmt, [np.array([x], dtype=dtype) for x in operands],
+        mode, ftz, daz)
     cfg = OracleConfig(rounding=mode, ftz=ftz, daz=daz, tininess=tininess)
-    return _compare(op, fmt, operands, cfg, engine_bits, engine_flags)
+    oracle = oracle_operation(op, fmt, cfg, *operands)
+    return _discrepancy(op, fmt, operands, cfg, int(engine.bits[0]),
+                        FLAGS_BY_VALUE[int(engine.flags[0])],
+                        oracle.bits, oracle.flags)
 
 
 def _shrunk(disc: Discrepancy, fmt: FloatFormat) -> Discrepancy:
@@ -480,38 +488,40 @@ def _iter_evals(
     case_lo: int,
     case_hi: int | None,
 ):
-    """Yield one op's evaluation stream (or a slice of it).
+    """One op's evaluation stream (or a slice of it), as an iterator.
 
-    Each item is ``(index, first_of_case, operands, mode, ftz, daz)``
-    where ``first_of_case`` marks the first evaluation of a new case
-    (the per-case statistics hook).  This generator is the single
-    source of truth for combo selection and budget cutoff.
+    Each item is ``(first_of_case, operands, cell)`` where ``cell``
+    indexes ``matrix`` and ``first_of_case`` marks the first evaluation
+    of a new case (the per-case statistics hook).  This is the single
+    source of truth for combo selection and budget cutoff: the leading
+    full-matrix cases run every cell in ``matrix`` order, and every
+    later case runs one cell, round-robin, until the budget is spent.
     """
     arity = OP_ARITY[op]
     matrix_len = len(matrix)
     fmc = _full_matrix_cases(fmt, arity, budget, matrix_len)
     case_seed = seed ^ (zlib.crc32(op.encode()) & 0xFFFF)
-    evals_spent = eval_offset(case_lo, fmc, matrix_len, budget)
+    cases = itertools.islice(generate_cases(fmt, arity, budget, case_seed),
+                             case_lo, case_hi)
 
-    cases = generate_cases(fmt, arity, budget, case_seed)
-    if case_lo:
-        cases = itertools.islice(cases, case_lo, None)
-    for index, operands in enumerate(cases, start=case_lo):
-        if case_hi is not None and index >= case_hi:
-            return
-        if evals_spent >= budget:
-            return
-        if index < fmc:
-            combos = matrix
-        else:
-            combos = (matrix[(index - fmc) % matrix_len],)
-        first = True
-        for mode, (ftz, daz) in combos:
-            if evals_spent >= budget:
-                break
-            evals_spent += 1
-            yield index, first, operands, mode, ftz, daz
-            first = False
+    def full_matrix():
+        remaining = budget - eval_offset(case_lo, fmc, matrix_len, budget)
+        for _, operands in zip(range(case_lo, fmc), cases):
+            if remaining <= 0:
+                return
+            for cell in range(min(matrix_len, remaining)):
+                yield cell == 0, operands, cell
+            remaining -= matrix_len
+
+    # The round-robin tail, one evaluation per case, in C iterators.
+    tail_lo = max(case_lo, fmc)
+    tail_budget = max(0, budget - eval_offset(tail_lo, fmc, matrix_len,
+                                              budget))
+    tail_cells = itertools.islice(itertools.cycle(range(matrix_len)),
+                                  (tail_lo - fmc) % matrix_len, None)
+    tail = zip(itertools.repeat(True), itertools.islice(cases, tail_budget),
+               tail_cells)
+    return itertools.chain(full_matrix(), tail)
 
 
 def run_op_slice(
@@ -536,13 +546,20 @@ def run_op_slice(
     of disjoint slices is the whole sweep, bit for bit.  The first
     ``max_discrepancies`` discrepancies are shrunk and returned.
 
-    The engine side of each window of evaluations is computed through
-    the ``engine_backend`` in bulk (one call per serving tier, see
-    :func:`_engine_results`), then the oracle comparison replays the
-    window in stream order.
+    The slice runs window by window (:data:`_EVAL_WINDOW` evaluations).
+    Per window, the engine side is a pair of result columns computed
+    through the ``engine_backend`` (one call per serving tier, see
+    :func:`_engine_columns`); the oracle side is one
+    :func:`~repro.oracle.exact.oracle_operation` call per evaluation,
+    each an independent exact computation; the native third opinion is
+    one :func:`~repro.oracle.native.native_result_bits` call over the
+    window's hardware-default lanes.  Engine and oracle columns are
+    compared as arrays, the tallies are counts over the comparison, and
+    a :class:`~repro.oracle.report.Discrepancy` is built (and shrunk)
+    only at mismatching positions, in stream order.
     ``engine_backend`` never changes *which* evaluations a slice
     performs, only how the engine side is computed.  With telemetry
-    enabled each evaluation's oracle half is timed into the
+    enabled each evaluation's oracle call is timed into the
     ``oracle.eval_seconds`` histogram.
     """
     telemetry = get_telemetry()
@@ -554,63 +571,78 @@ def run_op_slice(
     # the parent's distribution with order-independent quantiles
     latency = metrics.log_histogram("oracle.eval_seconds", op=op)
     backend = get_backend(engine_backend)
-    check_native = native and native_supported(op, fmt)
+    dtype = lane_dtype(fmt)
+    native_cells = [
+        cell for cell, (mode, (ftz, daz)) in enumerate(matrix)
+        if mode is RoundingMode.NEAREST_EVEN and not ftz and not daz
+    ] if native and native_supported(op, fmt) else []
     stats = OpStats(op=op)
     sink: list[Discrepancy] = []
-    configs = {
-        (mode, ftz, daz): OracleConfig(rounding=mode, ftz=ftz, daz=daz,
-                                       tininess=tininess)
+    configs = [
+        OracleConfig(rounding=mode, ftz=ftz, daz=daz, tininess=tininess)
         for mode, (ftz, daz) in matrix
-    }
+    ]
 
     with telemetry.tracer.span("oracle.op", op=op, format=fmt.name) as span:
         started = time.perf_counter()
         stream = _iter_evals(op, fmt, budget, seed, matrix, case_lo, case_hi)
         # Hot-loop bindings: the per-eval instrumented cost is two clock
-        # reads and one histogram observation; the eval counter is a
-        # local integer flushed once after the loop (the registry value
-        # is only read at snapshot/capture time, so batching is
-        # invisible).
+        # reads and one histogram observation.
+        reference = oracle_operation
         clock = time.perf_counter
         observe_latency = latency.observe
-        evals_done = 0
         while window := list(itertools.islice(stream, _EVAL_WINDOW)):
-            engine_side = _engine_results(op, fmt, window, backend)
-            for (_, first, operands, mode, ftz, daz), (engine_bits,
-                                                        engine_flags) in zip(
-                    window, engine_side):
-                if first:
-                    stats.cases += 1
-                stats.evals += 1
-                if instrumented:
+            firsts, operands, cells = zip(*window)
+            n = len(cells)
+            stats.cases += firsts.count(True)
+            stats.evals += n
+            slots = tuple(zip(*operands))
+            columns = [np.array(slot, dtype=dtype) for slot in slots]
+            cell_lanes = np.array(cells, dtype=np.intp)
+            engine_bits, engine_flags = _engine_columns(
+                op, fmt, columns, cell_lanes, matrix, backend)
+
+            lane_configs = map(configs.__getitem__, cells)
+            if instrumented:
+                oracle = []
+                for cfg, case in zip(lane_configs, operands):
                     check_started = clock()
-                disc = _compare(op, fmt, operands, configs[mode, ftz, daz],
-                                engine_bits, engine_flags)
-                if instrumented:
+                    oracle.append(reference(op, fmt, cfg, *case))
                     observe_latency(clock() - check_started)
-                    evals_done += 1
-                if disc is None:
-                    stats.value_agree += 1
-                    stats.flag_agree += 1
-                else:
-                    stats.discrepancies += 1
-                    discrepancies_total.inc()
-                    if disc.kind == "flags":
-                        stats.value_agree += 1
-                    elif disc.kind == "value":
-                        stats.flag_agree += 1
-                    if len(sink) < max_discrepancies:
-                        sink.append(_shrunk(disc, fmt))
-                # Native third opinion under the hardware-default env.
-                if (check_native and not ftz and not daz
-                        and mode is RoundingMode.NEAREST_EVEN):
-                    native_bits = native_result_bits(op, fmt, operands)
-                    if native_bits is not None:
-                        stats.native_evals += 1
-                        if native_agrees(fmt, native_bits, engine_bits):
-                            stats.native_agree += 1
-        if evals_done:
-            evals_total.inc(evals_done)
+                evals_total.inc(n)
+            else:
+                oracle = list(map(reference, itertools.repeat(op, n),
+                                  itertools.repeat(fmt, n), lane_configs,
+                                  *slots))
+            oracle_bits, oracle_flags = zip(*oracle)
+            value_bad = engine_bits != np.array(oracle_bits, dtype=dtype)
+            flags_bad = engine_flags != np.array(
+                [flags._value_ for flags in oracle_flags], dtype=np.uint8)
+            mismatch = value_bad | flags_bad
+            stats.value_agree += n - int(np.count_nonzero(value_bad))
+            stats.flag_agree += n - int(np.count_nonzero(flags_bad))
+            n_bad = int(np.count_nonzero(mismatch))
+            if n_bad:
+                stats.discrepancies += n_bad
+                discrepancies_total.inc(n_bad)
+                room = max(0, max_discrepancies - len(sink))
+                for pos in np.flatnonzero(mismatch)[:room].tolist():
+                    disc = _discrepancy(
+                        op, fmt, operands[pos], configs[cells[pos]],
+                        int(engine_bits[pos]),
+                        FLAGS_BY_VALUE[int(engine_flags[pos])],
+                        oracle_bits[pos], oracle_flags[pos])
+                    sink.append(_shrunk(disc, fmt))
+
+            # Native third opinion under the hardware-default env.
+            if native_cells:
+                lanes = np.flatnonzero(np.isin(cell_lanes, native_cells))
+                if lanes.size:
+                    native_bits = native_result_bits(
+                        op, fmt, [column[lanes] for column in columns])
+                    stats.native_evals += int(lanes.size)
+                    stats.native_agree += int(np.count_nonzero(
+                        native_agrees(fmt, native_bits, engine_bits[lanes])))
         stats.wall_seconds = time.perf_counter() - started
         span.set("evals", stats.evals)
         span.set("discrepancies", stats.discrepancies)

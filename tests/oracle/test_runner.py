@@ -216,8 +216,9 @@ class TestEngineCallsPerTier:
         matrix = tuple(itertools.product(RoundingMode, self.FULL_MATRIX))
         per_cell = Counter()
         for op in self.OPS:
-            for *_, mode, ftz, daz in _iter_evals(
+            for *_, cell in _iter_evals(
                     op, BINARY64, budget, seed, matrix, 0, None):
+                mode, (ftz, daz) = matrix[cell]
                 per_cell[op, auto.select(op, BINARY64, mode, ftz,
                                          daz).name] += 1
         assert lanes == dict(per_cell)
