@@ -93,7 +93,7 @@ def test_counter_lookup_and_inc(benchmark):
 
 def test_histogram_observe(benchmark):
     session = Telemetry.create()
-    histogram = session.metrics.histogram("bench_seconds")
+    histogram = session.metrics.log_histogram("bench_seconds")
     benchmark(histogram.observe, 0.001)
 
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 from collections.abc import Iterator, Sequence
 
@@ -150,8 +151,14 @@ def _telemetry_scope(args: argparse.Namespace) -> Iterator[None]:
         print(f"wrote {len(session.metrics)} metrics to {metrics_out}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser for the ``repro-fp`` entry point."""
+    """The argument parser for the ``repro-fp`` entry point.
+
+    Built once per process: parsing leaves the tree untouched (argparse
+    copies ``append`` defaults before extending them), and rebuilding it
+    cost every in-process ``main()`` call several milliseconds.
+    """
     parser = argparse.ArgumentParser(
         prog="repro-fp",
         description=(

@@ -4,7 +4,7 @@ Kept to a module-level function so it survives both ``fork`` and
 ``spawn`` start methods.  The bootstrap order matters:
 
 1. :func:`repro.telemetry.reset_for_process` — a forked child inherits
-   the parent's ambient telemetry session as thread-local state;
+   the parent's ambient telemetry session in its context;
    recording into it would be silent data loss (the objects are dead
    copies).  Workers start from an explicit NULL session.
 2. :func:`repro.engine.tasks.ensure_tasks_loaded` — materialize the

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import enum
 
+from repro.telemetry.events import flag_labels
+
 __all__ = ["FPFlag", "FLAG_ORDER", "FLAGS_BY_VALUE", "flag_names", "flags_from_names"]
 
 
@@ -72,14 +74,7 @@ def flag_names(flags: FPFlag) -> list[str]:
     >>> flag_names(FPFlag.INVALID | FPFlag.INEXACT)
     ['inexact', 'invalid']
     """
-    names = [
-        member.name.lower()
-        for member in FPFlag
-        if member not in (FPFlag.NONE, FPFlag.ALL, FPFlag.IEEE)
-        and member.name is not None
-        and member in flags
-    ]
-    return sorted(names)
+    return list(flag_labels(flags))
 
 
 def flags_from_names(names: list[str] | tuple[str, ...]) -> FPFlag:

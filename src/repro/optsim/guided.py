@@ -45,7 +45,7 @@ from repro.optsim.compliance import SearchResult, search
 from repro.optsim.machine import STRICT, MachineConfig
 from repro.softfloat import SoftFloat
 from repro.telemetry import get_telemetry
-from repro.telemetry.events import single_flags
+from repro.telemetry.events import flag_labels
 
 __all__ = [
     "FlowCoverage",
@@ -110,15 +110,14 @@ class FlowCoverage:
                 fact = tree_analysis.fact(node)
                 if fact.op in ("const", "var"):
                     continue
-                for flag in single_flags(fact.may_flags):
-                    name = (flag.name or "?").lower()
+                for name in flag_labels(fact.may_flags):
                     targets.add((side, str(node), name))
         return cls(targets=frozenset(targets))
 
     # ------------------------------------------------------------------
     def record(self, side: str, node: str, flags: FPFlag) -> None:
-        for flag in single_flags(flags):
-            key = (side, node, (flag.name or "?").lower())
+        for name in flag_labels(flags):
+            key = (side, node, name)
             if key in self.targets:
                 self.covered.add(key)
 

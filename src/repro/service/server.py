@@ -56,6 +56,7 @@ from repro.service.sessions import SessionStore
 from repro.telemetry import (
     LogHistogram,
     Telemetry,
+    flag_labels,
     parse_traceparent,
     render_prometheus,
     telemetry_session,
@@ -84,26 +85,6 @@ class ServiceConfig:
     backend: str = "auto"
     cache_entries: int = 4096
     drain_timeout: float = 5.0
-
-
-#: flag value -> labels, memoized: a service run raises few distinct sets
-_FLAG_LABELS: dict[Any, tuple[str, ...]] = {}
-
-
-def _flag_labels(flags) -> tuple[str, ...]:
-    """Sorted names for one event's flags.  The stream carries more than
-    FP flags (engine fault events use their own Flag enum), so decompose
-    generically rather than assuming :class:`FPFlag`."""
-    labels = _FLAG_LABELS.get(flags)
-    if labels is None:
-        labels = _FLAG_LABELS[flags] = tuple(sorted(
-            member.name.lower()
-            for member in type(flags)
-            if member.name and member.value
-            and (member.value & (member.value - 1)) == 0  # single bit
-            and member in flags
-        ))
-    return labels
 
 
 class _ClientState:
@@ -438,7 +419,7 @@ class FPService:
                 event.operation, event.flags,
                 fmt=event.fmt, span_path=event.span_path,
             )
-            labels.update(_flag_labels(event.flags))
+            labels.update(flag_labels(event.flags))
         events = sorted(labels)
         trace_id = session.trace_id
         if trace_id is not None:

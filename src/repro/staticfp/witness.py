@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 
-from repro.fpenv.flags import FPFlag, flag_names
+from repro.fpenv.flags import flag_names
 from repro.fpenv.rounding import RoundingMode
 from repro.optsim.ast import Const, Expr, unique_size, walk_unique
 from repro.optsim.evaluator import EvalResult, evaluate
@@ -271,13 +271,6 @@ def _result_to_dict(result: EvalResult) -> dict:
         "hex": format_hex(result.value),
         "flags": sorted(flag_names(result.flags)),
     }
-
-
-def _flags_from_names(names: Sequence[str]) -> FPFlag:
-    flags = FPFlag.NONE
-    for name in names:
-        flags |= FPFlag[name.upper()]
-    return flags
 
 
 @dataclasses.dataclass(frozen=True)

@@ -8,7 +8,7 @@ its *own* runtime.  Three pillars, zero dependencies:
   scopes with attributes; :class:`NullTracer` makes disabled tracing
   cost one attribute lookup.
 - **Metrics** (:mod:`~repro.telemetry.metrics`): labelled counters,
-  gauges, and bounded histograms with p50/p95/p99 summaries.
+  gauges, and mergeable log histograms with p50/p95/p99 summaries.
 - **FP-exception events** (:mod:`~repro.telemetry.events`): every
   flag-raise becomes a streamable coordinate (operation, flags, span
   path) fanned out to pluggable sinks; the environment layer's
@@ -30,6 +30,7 @@ from repro.telemetry.events import (
     BoundedEventLog,
     ExceptionStream,
     FPExceptionEvent,
+    flag_labels,
     single_flags,
 )
 from repro.telemetry.merge import (
@@ -40,7 +41,6 @@ from repro.telemetry.merge import (
 from repro.telemetry.metrics import (
     Counter,
     Gauge,
-    Histogram,
     LogHistogram,
     MetricsRegistry,
     NullMetrics,
@@ -74,7 +74,6 @@ __all__ = [
     "ExceptionStream",
     "FPExceptionEvent",
     "Gauge",
-    "Histogram",
     "LogHistogram",
     "MetricsRegistry",
     "NullMetrics",
@@ -90,6 +89,7 @@ __all__ = [
     "Tracer",
     "active_recorder",
     "capture_payload",
+    "flag_labels",
     "format_traceparent",
     "get_telemetry",
     "merge_metric",

@@ -31,6 +31,7 @@ __all__ = [
     "FPExceptionEvent",
     "ExceptionStream",
     "BoundedEventLog",
+    "flag_labels",
     "single_flags",
 ]
 
@@ -61,18 +62,31 @@ def single_flags(flags: enum.Flag) -> Iterable[enum.Flag]:
     return iter(_decompose(flags))
 
 
-#: Memoized exported-name lists (see ``_DECOMPOSED`` for why caching
-#: per flag combination pays: every event export calls this).
-_FLAG_NAMES: dict[enum.Flag, list[str]] = {}
+#: Memoized name tuples (see ``_DECOMPOSED`` for why caching per flag
+#: combination pays: every event export and per-flag counter reads one).
+_FLAG_LABELS: dict[enum.Flag, tuple[str, ...]] = {}
 
 
-def _flag_names(flags: enum.Flag) -> list[str]:
-    names = _FLAG_NAMES.get(flags)
-    if names is None:
-        names = _FLAG_NAMES[flags] = sorted(
-            (member.name or "?").lower() for member in _decompose(flags)
-        )
-    return list(names)
+def flag_labels(flags: enum.Flag) -> tuple[str, ...]:
+    """The sorted lowercase names of the single-bit members set in
+    ``flags`` — the exported vocabulary of events, per-flag counters
+    and service responses.  Generic over any :class:`enum.Flag` (the
+    stream also carries engine fault flags) and memoized, so repeated
+    calls with one value return the same tuple.
+
+    >>> import enum
+    >>> class F(enum.Flag):
+    ...     A = 1
+    ...     B = 2
+    >>> flag_labels(F.B | F.A)
+    ('a', 'b')
+    """
+    labels = _FLAG_LABELS.get(flags)
+    if labels is None:
+        labels = _FLAG_LABELS[flags] = tuple(sorted(
+            member.name.lower() for member in _decompose(flags)
+        ))
+    return labels
 
 
 @dataclasses.dataclass(slots=True)
@@ -93,7 +107,7 @@ class FPExceptionEvent:
     span_path: str | None = None
 
     def render(self) -> str:
-        names = ",".join(_flag_names(self.flags))
+        names = ",".join(flag_labels(self.flags))
         return f"#{self.sequence} {self.operation}: {names}"
 
     def to_dict(self) -> dict[str, Any]:
@@ -101,7 +115,7 @@ class FPExceptionEvent:
             "type": "fp_event",
             "sequence": self.sequence,
             "operation": self.operation,
-            "flags": _flag_names(self.flags),
+            "flags": list(flag_labels(self.flags)),
             "fmt": self.fmt,
             "span": self.span_path,
         }

@@ -192,7 +192,7 @@ def render_metrics(snapshot: dict[str, Any]) -> str:
     for name in sorted(snapshot):
         entry = snapshot[name]
         kind = entry.get("type", "?")
-        if kind in ("histogram", "log_histogram"):
+        if kind == "log_histogram":
             parts = []
             for key in ("count", "mean", "p50", "p95", "p99", "max"):
                 value = entry.get(key)

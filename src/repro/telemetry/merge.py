@@ -15,11 +15,9 @@ ride the result channel unchanged, and the session's observations ride
   parent's sequence, so merge order — shard-index order in the engine —
   fully determines the merged ordering).
 
-Counters and mergeable log histograms fold exactly; gauges are
-last-write-wins; legacy decimating histograms fold via
-:meth:`Histogram.absorb_summary` (counts exact, quantiles
-approximate).  Nothing here touches result values or cache keys —
-telemetry must never influence either.
+Counters and log histograms fold exactly; gauges are last-write-wins.
+Nothing here touches result values or cache keys — telemetry must
+never influence either.
 """
 
 from __future__ import annotations
@@ -70,8 +68,6 @@ def merge_metric(registry, name: str, labels: dict[str, str],
         registry.gauge(name, **labels).set(float(data.get("value") or 0.0))
     elif kind == "log_histogram":
         registry.log_histogram(name, **labels).merge_dict(data)
-    elif kind == "histogram":
-        registry.histogram(name, **labels).absorb_summary(data)
     # unknown kinds are dropped: a newer worker must not crash an
     # older parent over an instrument it cannot represent
 

@@ -1,12 +1,12 @@
-"""Metrics registry: counters, gauges, and bounded histograms.
+"""Metrics registry: counters, gauges, and mergeable log histograms.
 
 Metrics are named and optionally labelled —
 ``registry.counter("softfloat.ops_total", op="add", format="binary64")``
 — and each (name, labels) pair maps to one instrument for the life of
-the registry.  Histograms keep a bounded, deterministically decimated
-sample set, so quantile summaries (p50/p95/p99) stay exact up to the
-capacity and degrade gracefully (every second order statistic) beyond
-it; ``count``/``sum``/``min``/``max`` are always exact.
+the registry.  The one histogram type, :class:`LogHistogram`, keeps
+log-spaced bucket counts: memory stays bounded, quantiles (p50/p95/p99)
+carry a fixed relative error, and two histograms merge exactly by
+adding counts; ``count``/``min``/``max`` are always exact.
 
 :class:`NullMetrics` is the disabled registry: instrument lookups
 return shared no-op instances so instrumented code pays one call and
@@ -21,16 +21,12 @@ from typing import Any, Iterable
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "LogHistogram",
     "MetricsRegistry",
     "NullMetrics",
     "NULL_METRICS",
     "format_metric_name",
 ]
-
-_DEFAULT_HISTOGRAM_CAPACITY = 2048
-
 
 def format_metric_name(name: str, labels: tuple[tuple[str, str], ...]) -> str:
     """Canonical ``name{k=v,...}`` spelling used in exports."""
@@ -78,108 +74,6 @@ class Gauge:
 
     def to_dict(self) -> dict[str, Any]:
         return {"type": self.kind, "value": self.value}
-
-
-class Histogram:
-    """Bounded distribution summary with quantile estimates.
-
-    Observations beyond ``capacity`` trigger a deterministic decimation:
-    the retained (sorted) samples are thinned to every second one and
-    the sampling stride doubles, so memory stays bounded while the
-    retained set remains an even spread of the order statistics.
-    """
-
-    __slots__ = ("capacity", "count", "total", "min", "max",
-                 "_samples", "_stride", "_pending")
-    kind = "histogram"
-
-    def __init__(self, capacity: int = _DEFAULT_HISTOGRAM_CAPACITY) -> None:
-        if capacity < 2:
-            raise ValueError("histogram capacity must be at least 2")
-        self.capacity = capacity
-        self.count = 0
-        self.total = 0.0
-        self.min: float | None = None
-        self.max: float | None = None
-        self._samples: list[float] = []
-        self._stride = 1
-        self._pending = 0
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-        self._pending += 1
-        if self._pending >= self._stride:
-            self._pending = 0
-            self._samples.append(value)
-            if len(self._samples) >= self.capacity:
-                self._samples.sort()
-                self._samples = self._samples[::2]
-                self._stride *= 2
-
-    @property
-    def mean(self) -> float | None:
-        return self.total / self.count if self.count else None
-
-    def quantile(self, q: float) -> float | None:
-        """Linear-interpolated quantile of the retained samples
-        (``None`` when nothing has been observed)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        if not self._samples:
-            return None
-        ordered = sorted(self._samples)
-        position = q * (len(ordered) - 1)
-        lo = int(position)
-        hi = min(lo + 1, len(ordered) - 1)
-        fraction = position - lo
-        return ordered[lo] * (1.0 - fraction) + ordered[hi] * fraction
-
-    def summary(self) -> dict[str, Any]:
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.mean,
-            "p50": self.quantile(0.50),
-            "p95": self.quantile(0.95),
-            "p99": self.quantile(0.99),
-        }
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"type": self.kind, **self.summary()}
-
-    def absorb_summary(self, summary: dict[str, Any]) -> None:
-        """Fold another histogram's exported summary into this one.
-
-        ``count``/``sum``/``min``/``max`` merge exactly; the sample set
-        only gains the summary's quantile points, so merged quantiles
-        are approximate.  Shard-quality merging is what
-        :class:`LogHistogram` is for — this keeps legacy decimating
-        histograms from silently vanishing in a cross-process merge.
-        """
-        extra = int(summary.get("count") or 0)
-        if extra <= 0:
-            return
-        self.count += extra
-        self.total += float(summary.get("sum") or 0.0)
-        for bound in (summary.get("min"), summary.get("max")):
-            if bound is None:
-                continue
-            bound = float(bound)
-            if self.min is None or bound < self.min:
-                self.min = bound
-            if self.max is None or bound > self.max:
-                self.max = bound
-        for key in ("min", "p50", "p95", "p99", "max"):
-            value = summary.get(key)
-            if value is not None:
-                self._samples.append(float(value))
 
 
 #: Per-bucket growth factor: 2**(1/8) bounds the relative quantile
@@ -365,7 +259,6 @@ class LogHistogram:
 _KINDS = {
     "counter": Counter,
     "gauge": Gauge,
-    "histogram": Histogram,
     "log_histogram": LogHistogram,
 }
 
@@ -378,12 +271,11 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: dict[tuple[str, tuple[tuple[str, str], ...]], Any] = {}
 
-    def _get(self, kind: str, name: str, labels: dict[str, Any],
-             **kwargs: Any) -> Any:
+    def _get(self, kind: str, name: str, labels: dict[str, Any]) -> Any:
         key = (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
         metric = self._metrics.get(key)
         if metric is None:
-            metric = self._metrics[key] = _KINDS[kind](**kwargs)
+            metric = self._metrics[key] = _KINDS[kind]()
         elif metric.kind != kind:
             raise TypeError(
                 f"metric {format_metric_name(*key)!r} already registered"
@@ -397,14 +289,9 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels: Any) -> Gauge:
         return self._get("gauge", name, labels)
 
-    def histogram(self, name: str, *, capacity: int | None = None,
-                  **labels: Any) -> Histogram:
-        kwargs = {} if capacity is None else {"capacity": capacity}
-        return self._get("histogram", name, labels, **kwargs)
-
     def log_histogram(self, name: str, **labels: Any) -> LogHistogram:
-        """The mergeable histogram — use for anything that must
-        aggregate across processes (shard deltas, request sessions)."""
+        """The registry's histogram: mergeable across processes
+        (shard deltas, request sessions)."""
         return self._get("log_histogram", name, labels)
 
     def __iter__(self) -> Iterable:
@@ -447,13 +334,6 @@ class _NullGauge(Gauge):
         pass
 
 
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:
-        pass
-
-
 class _NullLogHistogram(LogHistogram):
     __slots__ = ()
 
@@ -463,7 +343,6 @@ class _NullLogHistogram(LogHistogram):
 
 _NULL_COUNTER = _NullCounter()
 _NULL_GAUGE = _NullGauge()
-_NULL_HISTOGRAM = _NullHistogram()
 _NULL_LOG_HISTOGRAM = _NullLogHistogram()
 
 
@@ -477,10 +356,6 @@ class NullMetrics:
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
         return _NULL_GAUGE
-
-    def histogram(self, name: str, *, capacity: int | None = None,
-                  **labels: Any) -> Histogram:
-        return _NULL_HISTOGRAM
 
     def log_histogram(self, name: str, **labels: Any) -> LogHistogram:
         return _NULL_LOG_HISTOGRAM

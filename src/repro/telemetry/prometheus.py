@@ -7,8 +7,6 @@ the standard text format:
 - :class:`LogHistogram` becomes a Prometheus *histogram* family —
   cumulative ``_bucket{le=...}`` samples (upper bounds are the
   log-bucket boundaries), ``_sum`` and ``_count``;
-- the legacy decimating :class:`Histogram` becomes a *summary* family
-  (``{quantile="..."}`` samples plus ``_sum``/``_count``);
 - *exemplars* (OpenMetrics ``# {trace_id="..."} value`` suffixes)
   attach to counter samples and histogram ``+Inf`` buckets, keyed by
   the registry's canonical ``name{label=value,...}`` spelling — this
@@ -30,7 +28,6 @@ from typing import Any
 from repro.telemetry.metrics import (
     Counter,
     Gauge,
-    Histogram,
     LogHistogram,
     format_metric_name,
 )
@@ -131,20 +128,6 @@ def render_prometheus(
                 f"{base}_bucket{_labels_text(labels, (('le', '+Inf'),))}"
                 f" {metric.count}{_exemplar_suffix(exemplar)}"
             )
-            lines.append(
-                f"{base}_sum{_labels_text(labels)} {_number(metric.total)}"
-            )
-            lines.append(
-                f"{base}_count{_labels_text(labels)} {metric.count}"
-            )
-        elif isinstance(metric, Histogram):
-            types[base] = "summary"
-            for q in (0.5, 0.95, 0.99):
-                lines.append(
-                    f"{base}"
-                    f"{_labels_text(labels, (('quantile', str(q)),))}"
-                    f" {_number(metric.quantile(q))}"
-                )
             lines.append(
                 f"{base}_sum{_labels_text(labels)} {_number(metric.total)}"
             )

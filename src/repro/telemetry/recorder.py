@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 
-from repro.telemetry.events import ExceptionStream, single_flags
+from repro.telemetry.events import ExceptionStream, flag_labels
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracer import Tracer
 
@@ -68,11 +68,8 @@ class TelemetryRecorder:
         counters = self._flag_counters.get(flags)
         if counters is None:
             counters = self._flag_counters[flags] = tuple(
-                self.metrics.counter(
-                    "fpenv.exceptions_total",
-                    flag=(member.name or "?").lower(),
-                )
-                for member in single_flags(flags)
+                self.metrics.counter("fpenv.exceptions_total", flag=name)
+                for name in flag_labels(flags)
             )
         for counter in counters:
             counter.inc()

@@ -3,9 +3,8 @@
 One :class:`Telemetry` object bundles the three pillars — tracer,
 metrics registry, FP-exception stream — plus the recorder that plugs
 them into the environment layer.  The active instance is **task-local**
-(a :mod:`contextvars` variable), with the legacy thread-local slot kept
-as a fallback; :data:`NULL_TELEMETRY` is the default and makes every
-instrumented call site a no-op.
+(a :mod:`contextvars` variable); :data:`NULL_TELEMETRY` is the default
+and makes every instrumented call site a no-op.
 
 Usage::
 
@@ -20,35 +19,33 @@ creates fresh environments deep inside a run — the oracle's
 differential loop, ``env_context`` blocks — is observed without any
 parameter threading.
 
-Tasks, not just threads
------------------------
+Tasks and threads
+-----------------
 
-The session used to be thread-local, which was correct for the
-process/thread substrate but wrong for ``asyncio``: every task on the
-event loop shares one thread, so two concurrent request handlers that
-each opened a session would clobber each other's spans and metrics.
-The primary slot is therefore a :class:`contextvars.ContextVar` —
+``asyncio`` runs every task on one thread, so a thread-local session
+would let two concurrent request handlers clobber each other's spans
+and metrics.  The slot is therefore a :class:`contextvars.ContextVar`:
 ``asyncio`` snapshots the context at task creation, so a session
 installed inside one task is invisible to its siblings, and
-``asyncio.to_thread`` carries it into worker threads.  Plain threads
-(which start from an empty context) fall back to the old thread-local
-slot, writable via ``set_telemetry(..., scope="thread")`` for code
-that manages threads directly.
+``asyncio.to_thread`` carries it into worker threads.  A plain
+:class:`threading.Thread` starts from an empty context and so sees
+:data:`NULL_TELEMETRY`.
 
 Processes, not just tasks
 -------------------------
 
-A ``fork()``-ed worker inherits the forking thread's context and
-thread-local state, including an *enabled* ambient session whose
-spans, metrics, and event sinks all live in the parent — recording
-into them from the child is silent data loss (the objects are copies
-the parent never sees).  The session is therefore pinned to the PID
-that installed it: :func:`get_telemetry` and :func:`active_recorder`
-detect that the current process is not the installing process and
-reset the ambient session to :data:`NULL_TELEMETRY`.  Worker processes
-that *want* telemetry must re-initialize their own recorder explicitly
-— :func:`reset_for_process` is the bootstrap hook the execution
-engine's workers call before touching any instrumented code.
+A ``fork()``-ed worker inherits the forking thread's context,
+including an *enabled* ambient session whose spans, metrics, and event
+sinks all live in the parent — recording into them from the child is
+silent data loss (the objects are copies the parent never sees).  The
+session is therefore pinned to the PID that installed it:
+:func:`get_telemetry` (and :func:`active_recorder`, which reads
+through it) detects that the current process is not the installing
+process and resets the ambient session to :data:`NULL_TELEMETRY`.
+Worker processes that *want* telemetry must re-initialize their own
+recorder explicitly — :func:`reset_for_process` is the bootstrap hook
+the execution engine's workers call before touching any instrumented
+code.
 """
 
 from __future__ import annotations
@@ -57,7 +54,6 @@ import contextlib
 import contextvars
 import dataclasses
 import os
-import threading
 from collections.abc import Iterator
 
 from repro.telemetry.events import BoundedEventLog, ExceptionStream
@@ -157,62 +153,27 @@ _AMBIENT: contextvars.ContextVar[_Ambient | None] = contextvars.ContextVar(
 )
 
 
-class _TelemetryState(threading.local):
-    """The legacy thread-local slot, kept as the fallback tier."""
-
-    def __init__(self) -> None:
-        self.current: Telemetry = NULL_TELEMETRY
-        self.pid: int = os.getpid()
-
-
-_STATE = _TelemetryState()
-
-
 def get_telemetry() -> Telemetry:
     """The task's active telemetry session (NULL_TELEMETRY when off).
 
-    Lookup is two-tier: the task-local context variable first, then
-    the thread-local fallback (for threads started outside any
-    context, or code using ``scope="thread"``).  Sessions are
-    per-process: if the installing process forked, the inherited
-    session belongs to the parent and is dropped here (see the module
-    docstring).  The PID check only runs while a session is enabled,
-    so the disabled-telemetry hot path stays one attribute chase.
+    Sessions are per-process: if the installing process forked, the
+    inherited session belongs to the parent and is dropped here (see
+    the module docstring).  The PID check only runs while a session is
+    enabled, so the disabled-telemetry hot path stays one lookup.
     """
     ambient = _AMBIENT.get()
-    if ambient is not None:
-        if ambient.current is not NULL_TELEMETRY:
-            if ambient.pid != os.getpid():
-                ambient.current = NULL_TELEMETRY
-            else:
-                return ambient.current
-        # A context entry holding NULL means "nothing context-scoped
-        # installed here" — fall through to the thread tier rather
-        # than shadow it forever.
-    state = _STATE
-    if state.current is not NULL_TELEMETRY and state.pid != os.getpid():
-        state.current = NULL_TELEMETRY
-    return state.current
+    if ambient is None:
+        return NULL_TELEMETRY
+    current = ambient.current
+    if current is not NULL_TELEMETRY and ambient.pid != os.getpid():
+        current = ambient.current = NULL_TELEMETRY
+    return current
 
 
-def set_telemetry(telemetry: Telemetry, *, scope: str = "context") -> Telemetry:
-    """Install ``telemetry`` as active; returns the previous session.
-
-    ``scope="context"`` (the default) installs into the task-local
-    context variable — correct for asyncio handlers and for ordinary
-    synchronous code alike.  ``scope="thread"`` writes the legacy
-    thread-local fallback slot instead, for code that hands sessions
-    across threads it manages itself; a context-scoped session, where
-    present, still takes precedence over it.
-    """
-    if scope == "thread":
-        state = _STATE
-        previous = state.current
-        state.current = telemetry
-        state.pid = os.getpid()
-        return previous
-    if scope != "context":
-        raise ValueError(f"unknown telemetry scope {scope!r}")
+def set_telemetry(telemetry: Telemetry) -> Telemetry:
+    """Install ``telemetry`` as the task's active session; returns the
+    previous one.  Correct for asyncio handlers and for ordinary
+    synchronous code alike."""
     previous = get_telemetry()
     _AMBIENT.set(_Ambient(telemetry, os.getpid()))
     return previous
@@ -223,35 +184,18 @@ def reset_for_process() -> None:
 
     Idempotent; worker bootstraps call this before any instrumented
     code so that recording starts from an explicit, process-local
-    state instead of a dead copy of the parent's session.  Both tiers
-    are cleared.
+    state instead of a dead copy of the parent's session.
     """
     ambient = _AMBIENT.get()
     if ambient is not None:
         ambient.current = NULL_TELEMETRY
         _AMBIENT.set(None)
-    _STATE.current = NULL_TELEMETRY
-    _STATE.pid = os.getpid()
 
 
 def active_recorder() -> TelemetryRecorder | None:
-    """The active session's env-layer recorder (``None`` when off).
-
-    This is the hot accessor ``FPEnv.__post_init__`` uses; keep it a
-    plain attribute chase (plus the same fork guard as
-    :func:`get_telemetry`, paid only while telemetry is on).
-    """
-    ambient = _AMBIENT.get()
-    if ambient is not None:
-        if ambient.current is not NULL_TELEMETRY:
-            if ambient.pid != os.getpid():
-                ambient.current = NULL_TELEMETRY
-            else:
-                return ambient.current.recorder
-    state = _STATE
-    if state.current is not NULL_TELEMETRY and state.pid != os.getpid():
-        state.current = NULL_TELEMETRY
-    return state.current.recorder
+    """The active session's env-layer recorder (``None`` when off);
+    the accessor ``FPEnv.__post_init__`` uses."""
+    return get_telemetry().recorder
 
 
 @contextlib.contextmanager

@@ -10,9 +10,8 @@ import operator
 from repro.engine.events import EngineFlag
 from repro.fpenv.flags import FPFlag, flag_names
 from repro.service import FPService, ServiceClient, ServiceConfig
-from repro.service.server import _flag_labels
 from repro.service.topview import render_top
-from repro.telemetry import parse_traceparent, parse_exposition
+from repro.telemetry import flag_labels, parse_traceparent, parse_exposition
 
 
 def run(coro):
@@ -84,19 +83,27 @@ def _all_composites(flag_type):
 
 
 class TestFlagLabels:
+    @staticmethod
+    def _expected(flag_type, flags):
+        return tuple(sorted(
+            member.name.lower() for member in flag_type
+            if member.value and (member.value & (member.value - 1)) == 0
+            and member in flags
+        ))
+
     def test_fp_flag_composites_label_as_flag_names(self):
         for flags in _all_composites(FPFlag):
-            labels = _flag_labels(flags)
-            assert labels == tuple(flag_names(flags))
-            assert _flag_labels(flags) is labels  # memoized
+            labels = flag_labels(flags)
+            assert labels == self._expected(FPFlag, flags)
+            assert flag_labels(flags) is labels  # memoized
+            assert flag_names(flags) == list(labels)
+            assert flag_names(flags) is not flag_names(flags)  # a fresh list
 
     def test_engine_flag_composites_decompose_generically(self):
         for flags in _all_composites(EngineFlag):
-            assert _flag_labels(flags) == tuple(sorted(
-                member.name.lower() for member in EngineFlag
-                if member.value and (member.value & (member.value - 1)) == 0
-                and member in flags
-            ))
+            labels = flag_labels(flags)
+            assert labels == self._expected(EngineFlag, flags)
+            assert flag_labels(flags) is labels  # memoized
 
     def test_fp_events_on_a_response(self):
         async def main():

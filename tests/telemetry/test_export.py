@@ -24,7 +24,7 @@ def _session_with_activity() -> Telemetry:
             "add", _inexact(), fmt="binary32", span_path="outer"
         )
     session.metrics.counter("ops_total", op="add").inc(2)
-    session.metrics.histogram("latency").observe(0.5)
+    session.metrics.log_histogram("latency").observe(0.5)
     return session
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.telemetry import NULL_METRICS, Counter, Gauge, Histogram, MetricsRegistry
+from repro.telemetry import NULL_METRICS, Counter, Gauge, LogHistogram, MetricsRegistry
 from repro.telemetry.metrics import format_metric_name
 
 
@@ -29,7 +29,7 @@ class TestGauge:
 
 class TestHistogram:
     def test_empty_quantiles_are_none(self):
-        histogram = Histogram()
+        histogram = LogHistogram()
         assert histogram.quantile(0.5) is None
         assert histogram.mean is None
         summary = histogram.summary()
@@ -37,7 +37,7 @@ class TestHistogram:
         assert summary["p50"] is None and summary["p99"] is None
 
     def test_single_sample_is_every_quantile(self):
-        histogram = Histogram()
+        histogram = LogHistogram()
         histogram.observe(7.0)
         assert histogram.quantile(0.0) == 7.0
         assert histogram.quantile(0.5) == 7.0
@@ -46,35 +46,11 @@ class TestHistogram:
         assert histogram.mean == 7.0
 
     def test_quantile_bounds_checked(self):
-        histogram = Histogram()
+        histogram = LogHistogram()
         with pytest.raises(ValueError):
             histogram.quantile(1.5)
-
-    def test_exact_quantiles_below_capacity(self):
-        histogram = Histogram(capacity=256)
-        for value in range(1, 101):  # 1..100
-            histogram.observe(float(value))
-        assert histogram.quantile(0.0) == 1.0
-        assert histogram.quantile(1.0) == 100.0
-        assert histogram.quantile(0.5) == pytest.approx(50.5)
-        assert histogram.quantile(0.95) == pytest.approx(95.05)
-
-    def test_decimation_keeps_count_exact_and_quantiles_close(self):
-        histogram = Histogram(capacity=64)
-        n = 10_000
-        for value in range(n):
-            histogram.observe(float(value))
-        assert histogram.count == n
-        assert histogram.min == 0.0 and histogram.max == float(n - 1)
-        # Retained samples stay bounded and spread across the range.
-        assert len(histogram._samples) < 64
-        p50 = histogram.quantile(0.5)
-        assert p50 is not None
-        assert abs(p50 - n / 2) < n * 0.2
-
-    def test_capacity_must_be_at_least_two(self):
         with pytest.raises(ValueError):
-            Histogram(capacity=1)
+            histogram.quantile(-0.1)
 
 
 class TestRegistry:
@@ -101,7 +77,7 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("ops_total", op="add").inc(3)
         registry.gauge("rate").set(1.5)
-        registry.histogram("latency").observe(0.25)
+        registry.log_histogram("latency").observe(0.25)
         snapshot = registry.snapshot()
         assert snapshot["ops_total{op=add}"] == {"type": "counter", "value": 3}
         assert snapshot["rate"]["value"] == 1.5
@@ -123,6 +99,6 @@ class TestNullMetrics:
         a.inc(100)
         assert a.value == 0
         NULL_METRICS.gauge("g").set(5.0)
-        NULL_METRICS.histogram("h").observe(1.0)
+        NULL_METRICS.log_histogram("h").observe(1.0)
         assert NULL_METRICS.snapshot() == {}
         assert len(NULL_METRICS) == 0

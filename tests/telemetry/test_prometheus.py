@@ -17,7 +17,7 @@ def _registry():
     registry.counter("fpenv.exceptions_total", flag="overflow").inc(3)
     registry.gauge("service.queue_depth").set(4)
     registry.log_histogram("service.handle_ms", method="lint").observe(1.5)
-    registry.histogram("legacy.seconds").observe(0.5)
+    registry.log_histogram("engine.run_seconds").observe(0.5)
     return registry
 
 
@@ -35,7 +35,8 @@ class TestRender:
         assert parsed["types"]["fpenv_exceptions_total"] == "counter"
         assert parsed["types"]["service_queue_depth"] == "gauge"
         assert parsed["types"]["service_handle_ms"] == "histogram"
-        assert parsed["types"]["legacy_seconds"] == "summary"
+        assert parsed["types"]["engine_run_seconds"] == "histogram"
+        assert "summary" not in parsed["types"].values()
 
     def test_sample_values_round_trip(self):
         parsed = parse_exposition(render_prometheus(_registry()))
@@ -45,7 +46,7 @@ class TestRender:
         assert samples['service_handle_ms_count{method="lint"}'] == 1
         assert samples['service_handle_ms_bucket{method="lint",le="+Inf"}'] \
             == 1
-        assert samples["legacy_seconds_count"] == 1
+        assert samples["engine_run_seconds_count"] == 1
 
     def test_histogram_buckets_are_cumulative_to_count(self):
         registry = MetricsRegistry()

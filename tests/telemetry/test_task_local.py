@@ -5,8 +5,8 @@ task shares one thread, so two concurrent request handlers that each
 opened a session would record into whichever session was installed
 last.  The primary slot is now a ``contextvars`` variable — asyncio
 snapshots the context per task, so interleaved tasks keep their spans,
-metrics, and FP-exception events apart.  The thread-local slot remains
-as an explicit fallback (``scope="thread"``).
+metrics, and FP-exception events apart.  A plain thread starts from an
+empty context and so sees no session.
 """
 
 import asyncio
@@ -14,9 +14,7 @@ import threading
 
 from repro.telemetry import (
     NULL_TELEMETRY,
-    Telemetry,
     get_telemetry,
-    set_telemetry,
     telemetry_session,
 )
 
@@ -126,30 +124,3 @@ class TestThreadFallback:
             thread.start()
             thread.join()
         assert seen == [NULL_TELEMETRY]
-
-    def test_thread_scope_installs_in_fallback_slot(self):
-        session = Telemetry.create()
-        previous = set_telemetry(session, scope="thread")
-        try:
-            assert get_telemetry() is session
-        finally:
-            set_telemetry(previous, scope="thread")
-        assert get_telemetry() is NULL_TELEMETRY
-
-    def test_context_scope_shadows_thread_scope(self):
-        thread_session = Telemetry.create()
-        set_telemetry(thread_session, scope="thread")
-        try:
-            with telemetry_session() as ctx_session:
-                assert get_telemetry() is ctx_session
-            assert get_telemetry() is thread_session
-        finally:
-            from repro.telemetry import reset_for_process
-
-            reset_for_process()
-
-    def test_unknown_scope_rejected(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            set_telemetry(NULL_TELEMETRY, scope="process")

@@ -1,11 +1,11 @@
 """Per-process telemetry isolation (the fork-safety regression).
 
-A forked worker inherits the parent's ambient telemetry state (both
-the context-variable tier and the thread-local fallback) by value;
-recording into those copied sinks is silent data loss.  These tests
-pin the PID guard in :mod:`repro.telemetry.runtime`: an inherited
-session must read as NULL in the child, and ``reset_for_process`` must
-give workers an explicit clean slate.
+A forked worker inherits the parent's ambient telemetry session (the
+context variable's entry) by value; recording into those copied sinks
+is silent data loss.  These tests pin the PID guard in
+:mod:`repro.telemetry.runtime`: an inherited session must read as NULL
+in the child, and ``reset_for_process`` must give workers an explicit
+clean slate.
 """
 
 import multiprocessing
@@ -23,10 +23,7 @@ from repro.telemetry.runtime import active_recorder, reset_for_process
 
 def _pretend_forked() -> None:
     """Make the installed session look like it came from another PID."""
-    ambient = runtime._AMBIENT.get()
-    if ambient is not None:
-        ambient.pid = os.getpid() + 1
-    runtime._STATE.pid = os.getpid() + 1
+    runtime._AMBIENT.get().pid = os.getpid() + 1
 
 
 class TestPidGuard:
@@ -44,29 +41,17 @@ class TestPidGuard:
             _pretend_forked()
             assert active_recorder() is None
 
-    def test_stale_pid_drops_thread_scoped_session(self):
-        from repro.telemetry import Telemetry
-
-        session = Telemetry.create()
-        previous = set_telemetry(session, scope="thread")
-        try:
-            assert get_telemetry() is session
-            runtime._STATE.pid = os.getpid() + 1
-            assert get_telemetry() is NULL_TELEMETRY
-            assert runtime._STATE.current is NULL_TELEMETRY
-        finally:
-            set_telemetry(previous, scope="thread")
-
     def test_disabled_session_skips_pid_check(self):
         # NULL_TELEMETRY stays active regardless of the recorded pid:
         # the disabled hot path must not pay (or be confused by) the
         # fork guard.
-        reset_for_process()
-        runtime._STATE.pid = os.getpid() + 1
+        previous = set_telemetry(NULL_TELEMETRY)
         try:
+            _pretend_forked()
             assert get_telemetry() is NULL_TELEMETRY
+            assert active_recorder() is None
         finally:
-            runtime._STATE.pid = os.getpid()
+            set_telemetry(previous)
 
 
 class TestResetForProcess:
@@ -74,7 +59,7 @@ class TestResetForProcess:
         with telemetry_session():
             reset_for_process()
             assert get_telemetry() is NULL_TELEMETRY
-            assert runtime._STATE.pid == os.getpid()
+            assert runtime._AMBIENT.get() is None
 
     def test_idempotent(self):
         reset_for_process()

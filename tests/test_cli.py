@@ -16,6 +16,30 @@ class TestParser:
         assert args.developers == 199
         assert args.students == 52
 
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("command, flag, dest, values", [
+        (["shadow", "a + b"], "--bind", "bind", ["a=1", "b=2"]),
+        (["lint", "a + b"], "--bind-range", "bind_range", ["a=0,1"]),
+        (["engine", "run", "demo"], "--param", "param", ['{"n": 1}']),
+    ])
+    def test_append_options_do_not_leak_across_calls(
+        self, monkeypatch, command, flag, dest, values,
+    ):
+        import repro.cli
+
+        seen = []
+        monkeypatch.setitem(
+            repro.cli._COMMANDS, command[0],
+            lambda args: seen.append(list(getattr(args, dest))) or 0,
+        )
+        appended = [part for value in values for part in (flag, value)]
+        assert main(command + appended) == 0
+        assert main(command) == 0
+        assert main(command + appended[:2]) == 0
+        assert seen == [values, [], values[:1]]
+
 
 class TestDemoCommand:
     def test_single_question(self, capsys):
