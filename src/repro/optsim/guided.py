@@ -115,11 +115,15 @@ class FlowCoverage:
         return cls(targets=frozenset(targets))
 
     # ------------------------------------------------------------------
+    def target_keys(
+        self, side: str, node: str, flags: FPFlag
+    ) -> tuple[tuple[str, str, str], ...]:
+        """The targets that ``flags`` raised at ``node`` exercise."""
+        keys = ((side, node, name) for name in flag_labels(flags))
+        return tuple(key for key in keys if key in self.targets)
+
     def record(self, side: str, node: str, flags: FPFlag) -> None:
-        for name in flag_labels(flags):
-            key = (side, node, name)
-            if key in self.targets:
-                self.covered.add(key)
+        self.covered.update(self.target_keys(side, node, flags))
 
     def sink(self, event) -> None:
         """Telemetry-stream subscriber: decode the search's
@@ -302,13 +306,28 @@ def guided_search(
         stream.subscribe(coverage.sink)
 
     def emitter(side: str):
+        if stream is not None:
+            def emit(node: Expr, flags: FPFlag) -> None:
+                if flags:
+                    stream.record(f"{_EVENT_PREFIX}.{side}:{node}", flags)
+
+            return emit
+
+        # Without a stream, each (node, flag set) resolves to its target
+        # keys once.  The entry holds the node, so its id stays its own.
+        marks: dict[tuple[int, int], tuple[Expr, tuple]] = {}
+
         def emit(node: Expr, flags: FPFlag) -> None:
             if not flags:
                 return
-            if stream is not None:
-                stream.record(f"{_EVENT_PREFIX}.{side}:{node}", flags)
-            else:
-                coverage.record(side, str(node), flags)
+            memo_key = (id(node), flags._value_)
+            try:
+                keys = marks[memo_key][1]
+            except KeyError:
+                keys = coverage.target_keys(side, str(node), flags)
+                marks[memo_key] = (node, keys)
+            if keys:
+                coverage.covered.update(keys)
 
         return emit
 

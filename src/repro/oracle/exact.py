@@ -21,6 +21,12 @@ the halfway point — so a bug has to appear *twice, independently* to
 escape the differential runner.  :class:`SoftFloat` appears only in the
 adapters (``oracle_add`` … ``oracle_fma``) and :meth:`OracleResult.value`.
 
+Each evaluation pays only for its own exact arithmetic.  What is
+constant per format or per config is computed once: a format's landmark
+encodings are a table indexed by sign, and :class:`OracleConfig`
+tabulates its rounding decision (from :func:`_rounds_up`), its tininess
+convention, its cancellation zero sign and its overflow choice.
+
 The oracle reproduces the engine's *documented* latitude choices so
 that agreement can be demanded bit-for-bit:
 
@@ -39,6 +45,7 @@ that agreement can be demanded bit-for-bit:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from numbers import Rational
 from typing import NamedTuple
@@ -87,6 +94,42 @@ _RTP = RoundingMode.TOWARD_POSITIVE
 _RTN = RoundingMode.TOWARD_NEGATIVE
 
 
+def _rounds_up(mode: RoundingMode, sign: int, odd: int, state: int) -> bool:
+    """Independent reimplementation of the five rounding decisions."""
+    if state == _EXACT:
+        return False
+    if mode is _RNE:
+        return state == _ABOVE_HALF or (state == _HALF and odd)
+    if mode is _RNA:
+        return state != _BELOW_HALF
+    if mode is _RTZ:
+        return False
+    if mode is _RTP:
+        return sign == 0
+    if mode is _RTN:
+        return sign == 1
+    raise AssertionError(f"unhandled rounding mode {mode!r}")
+
+
+#: Per rounding mode, :func:`_rounds_up` tabulated once: the decision
+#: for every ``sign << 3 | odd << 2 | state``, and per result sign
+#: whether an overflow delivers infinity (else the largest finite
+#: value) -- it does iff the direction carries a magnitude above the
+#: largest finite value away from zero.
+_MODE_TABLES = {
+    mode: (
+        tuple(_rounds_up(mode, sign, odd, state)
+              for sign in (0, 1) for odd in (0, 1) for state in range(4)),
+        tuple(_rounds_up(mode, sign, 0, _ABOVE_HALF) for sign in (0, 1)),
+    )
+    for mode in RoundingMode
+}
+
+
+def _derived():
+    return dataclasses.field(init=False, repr=False, compare=False)
+
+
 @dataclasses.dataclass(frozen=True)
 class OracleConfig:
     """Environment parameters the oracle evaluates under.
@@ -96,6 +139,11 @@ class OracleConfig:
     ``"after"`` (tiny iff, in addition, the delivered result is still
     subnormal: a tiny value that rounds up to the smallest normal is
     not tiny).
+
+    Every decision that depends only on the config is made once, here,
+    into private fields the per-value code reads.  They are excluded
+    from init, repr, equality and hash, so a config is still identified
+    by its four parameters and :func:`dataclasses.replace` rebuilds them.
     """
 
     rounding: RoundingMode = RoundingMode.NEAREST_EVEN
@@ -103,10 +151,35 @@ class OracleConfig:
     daz: bool = False
     tininess: str = "before"
 
+    #: Entry ``sign << 3 | odd << 2 | state``: does a truncated
+    #: significand round up (see :data:`_MODE_TABLES`)?
+    _round_up: tuple[bool, ...] = _derived()
+    #: ``tininess == "before"``.
+    _tiny_before: bool = _derived()
+    #: Sign of an exact zero from cancellation (``-0`` only under
+    #: roundTowardNegative).
+    _cancel_sign: int = _derived()
+    #: Per result sign: does an overflow deliver infinity (else the
+    #: largest finite value)?
+    _overflow_to_inf: tuple[bool, bool] = _derived()
+
     def __post_init__(self) -> None:
         if self.tininess not in ("before", "after"):
             raise ValueError(f"tininess must be 'before' or 'after', got"
                              f" {self.tininess!r}")
+        try:
+            round_up, overflow_to_inf = _MODE_TABLES[self.rounding]
+        except (KeyError, TypeError):
+            raise ValueError(f"rounding must be a RoundingMode, got"
+                             f" {self.rounding!r}") from None
+        derived = {
+            "_round_up": round_up,
+            "_tiny_before": self.tininess == "before",
+            "_cancel_sign": 1 if self.rounding is _RTN else 0,
+            "_overflow_to_inf": overflow_to_inf,
+        }
+        for field_name, value in derived.items():
+            object.__setattr__(self, field_name, value)
 
 
 class OracleResult(NamedTuple):
@@ -121,6 +194,36 @@ class OracleResult(NamedTuple):
         return SoftFloat(fmt, self.bits)
 
 
+#: ``_result((bits, flags))`` builds an :class:`OracleResult` without
+#: the NamedTuple's Python-level ``__new__``.
+_result = functools.partial(tuple.__new__, OracleResult)
+
+
+class _Landmarks:
+    """One format's landmark encodings, each a pair indexed by sign."""
+
+    __slots__ = ("fmt", "inf", "zero", "max_finite", "quiet_nan")
+
+    def __init__(self, fmt: FloatFormat) -> None:
+        self.fmt = fmt  # kept alive, so its ``id`` keys only this table
+        self.inf = (fmt.inf_bits(0), fmt.inf_bits(1))
+        self.zero = (fmt.zero_bits(0), fmt.zero_bits(1))
+        self.max_finite = (fmt.max_finite_bits(0), fmt.max_finite_bits(1))
+        self.quiet_nan = (fmt.quiet_nan_bits(0), fmt.quiet_nan_bits(1))
+
+
+_LANDMARKS: dict[int, _Landmarks] = {}
+
+
+def _landmarks(fmt: FloatFormat) -> _Landmarks:
+    """``fmt``'s landmark table, built on first use."""
+    try:
+        return _LANDMARKS[id(fmt)]
+    except KeyError:
+        table = _LANDMARKS[id(fmt)] = _Landmarks(fmt)
+        return table
+
+
 # ----------------------------------------------------------------------
 # Decoding an encoding into an exact scaled integer
 # ----------------------------------------------------------------------
@@ -128,17 +231,18 @@ def _decode(fmt: FloatFormat, bits: int, daz: bool) -> tuple:
     """``(sign, class, m, e)`` of an encoding; a ``_FINITE`` value is
     ``m * 2**e`` with ``m > 0``.  Under ``daz`` a subnormal decodes as a
     zero of the same sign."""
-    if bits < 0 or bits >> fmt.width:
+    if bits >> fmt.width:  # too wide, or negative (shifts to -1)
         raise FormatError(f"bit pattern 0x{bits:x} out of range for {fmt}")
     frac_bits = fmt.frac_bits
-    sign = bits >> (fmt.width - 1)
-    biased = (bits >> frac_bits) & fmt.max_biased_exp
+    max_biased = fmt.max_biased_exp
+    sign = bits >> fmt.sign_shift
+    biased = (bits >> frac_bits) & max_biased
     frac = bits & fmt.sig_mask
     if biased == 0:
         if frac == 0 or daz:
             return sign, _ZERO, 0, 0
         return sign, _FINITE, frac, fmt.emin - frac_bits
-    if biased == fmt.max_biased_exp:
+    if biased == max_biased:
         if frac == 0:
             return sign, _INF, 0, 0
         return sign, (_QNAN if frac & fmt.quiet_bit else _SNAN), 0, 0
@@ -157,32 +261,11 @@ def _ilog2(num: int, den: int) -> int:
     return k if (num << -k) >= den else k - 1
 
 
-def _rounds_up(mode: RoundingMode, sign: int, odd: int, state: int) -> bool:
-    """Independent reimplementation of the five rounding decisions."""
-    if state == _EXACT:
-        return False
-    if mode is _RNE:
-        return state == _ABOVE_HALF or (state == _HALF and odd)
-    if mode is _RNA:
-        return state != _BELOW_HALF
-    if mode is _RTZ:
-        return False
-    if mode is _RTP:
-        return sign == 0
-    if mode is _RTN:
-        return sign == 1
-    raise AssertionError(f"unhandled rounding mode {mode!r}")
-
-
-def _overflow_bits(fmt: FloatFormat, mode: RoundingMode, sign: int) -> int:
+def _overflow_bits(fmt: FloatFormat, cfg: OracleConfig, sign: int) -> int:
     """Result encoding on overflow (inf or max-finite per direction)."""
-    if mode is _RNE or mode is _RNA:
-        return fmt.inf_bits(sign)
-    if mode is _RTZ:
-        return fmt.max_finite_bits(sign)
-    if mode is _RTP:
-        return fmt.inf_bits(0) if sign == 0 else fmt.max_finite_bits(1)
-    return fmt.inf_bits(1) if sign == 1 else fmt.max_finite_bits(0)
+    table = _landmarks(fmt)
+    return (table.inf if cfg._overflow_to_inf[sign]
+            else table.max_finite)[sign]
 
 
 def _finish(
@@ -197,44 +280,41 @@ def _finish(
     """Deliver the truncated significand ``n`` at granularity ``2**q``
     whose discarded part compares to half a ULP as ``state``."""
     precision = fmt.precision
-    if _rounds_up(cfg.rounding, sign, n & 1, state):
+    if cfg._round_up[sign << 3 | (n & 1) << 2 | state]:
         n += 1
         if n == (1 << precision):  # carry out of the significand
             n >>= 1
             q += 1
-    sign_bit = sign << (fmt.width - 1)
+    sign_bit = sign << fmt.sign_shift
 
     if n == 0:
         # A tiny value rounded all the way down to zero.
-        return OracleResult(sign_bit, _TINY_INEXACT)
+        return _result((sign_bit, _TINY_INEXACT))
 
     length = n.bit_length()
     msb_exp = q + length - 1
     if msb_exp > fmt.emax:
-        return OracleResult(_overflow_bits(fmt, cfg.rounding, sign),
-                            _OVERFLOW_INEXACT)
+        return _result((_overflow_bits(fmt, cfg, sign), _OVERFLOW_INEXACT))
 
     if length == precision:
         # Normal delivery: tiny only before rounding (it rounded up to
         # the smallest normal), which the "after" convention forgives.
         if state == _EXACT:
             flags = _NONE
-        elif tiny_before and cfg.tininess == "before":
+        elif tiny_before and cfg._tiny_before:
             flags = _TINY_INEXACT
         else:
             flags = _INEXACT
-        return OracleResult(
-            sign_bit | ((msb_exp + fmt.bias) << fmt.frac_bits)
-            | (n & fmt.sig_mask), flags)
+        return _result((sign_bit | ((msb_exp + fmt.bias) << fmt.frac_bits)
+                        | (n & fmt.sig_mask), flags))
 
     if q != fmt.emin - (precision - 1):  # pragma: no cover - invariant
         raise AssertionError("subnormal delivered at the wrong granularity")
     # A subnormal result was tiny under both conventions.
     if cfg.ftz:
-        return OracleResult(sign_bit, _TINY_INEXACT)
-    return OracleResult(
-        sign_bit | n,
-        _DENORMAL if state == _EXACT else _TINY_INEXACT_DENORMAL)
+        return _result((sign_bit, _TINY_INEXACT))
+    return _result((sign_bit | n,
+                    _DENORMAL if state == _EXACT else _TINY_INEXACT_DENORMAL))
 
 
 def _round_dyadic(
@@ -264,7 +344,7 @@ def _round_sum(
     e = min(ea, eb)
     total = ((-ma if sa else ma) << (ea - e)) + ((-mb if sb else mb) << (eb - e))
     if total == 0:
-        return OracleResult(fmt.zero_bits(_cancel_zero_sign(cfg)), _NONE)
+        return _result((_landmarks(fmt).zero[cfg._cancel_sign], _NONE))
     if total < 0:
         return _round_dyadic(fmt, cfg, 1, -total, e)
     return _round_dyadic(fmt, cfg, 0, total, e)
@@ -337,16 +417,12 @@ def _propagated_nan(
     flags = _INVALID if _SNAN in classes else _NONE
     for bits, cls in zip(operands, classes):
         if cls >= _QNAN:
-            return OracleResult(bits | fmt.quiet_bit, flags)
+            return _result((bits | fmt.quiet_bit, flags))
     raise AssertionError("no NaN operand to propagate")
 
 
 def _default_nan(fmt: FloatFormat) -> OracleResult:
-    return OracleResult(fmt.quiet_nan_bits(), _INVALID)
-
-
-def _cancel_zero_sign(cfg: OracleConfig) -> int:
-    return 1 if cfg.rounding is _RTN else 0
+    return _result((_landmarks(fmt).quiet_nan[0], _INVALID))
 
 
 # ----------------------------------------------------------------------
@@ -365,14 +441,14 @@ def _add(
     if ca == _INF or cb == _INF:
         if ca == cb and sa != sb:
             return _default_nan(fmt)
-        return OracleResult(fmt.inf_bits(sa if ca == _INF else sb), _NONE)
+        return _result((_landmarks(fmt).inf[sa if ca == _INF else sb], _NONE))
     if cb == _ZERO:
         if ca == _ZERO:
-            sign = sa if sa == sb else _cancel_zero_sign(cfg)
-            return OracleResult(fmt.zero_bits(sign), _NONE)
-        return OracleResult(a, _NONE)
+            sign = sa if sa == sb else cfg._cancel_sign
+            return _result((_landmarks(fmt).zero[sign], _NONE))
+        return _result((a, _NONE))
     if ca == _ZERO:
-        return OracleResult(b ^ (negate_b << (fmt.width - 1)), _NONE)
+        return _result((b ^ (negate_b << fmt.sign_shift), _NONE))
     return _round_sum(fmt, cfg, sa, ma, ea, sb, mb, eb)
 
 
@@ -389,9 +465,9 @@ def _mul(fmt: FloatFormat, cfg: OracleConfig, a: int, b: int) -> OracleResult:
     if ca == _INF or cb == _INF:
         if ca == _ZERO or cb == _ZERO:
             return _default_nan(fmt)
-        return OracleResult(fmt.inf_bits(sign), _NONE)
+        return _result((_landmarks(fmt).inf[sign], _NONE))
     if ca == _ZERO or cb == _ZERO:
-        return OracleResult(fmt.zero_bits(sign), _NONE)
+        return _result((_landmarks(fmt).zero[sign], _NONE))
     return _round_dyadic(fmt, cfg, sign, ma * mb, ea + eb)
 
 
@@ -404,15 +480,15 @@ def _div(fmt: FloatFormat, cfg: OracleConfig, a: int, b: int) -> OracleResult:
     if ca == _INF:
         if cb == _INF:
             return _default_nan(fmt)
-        return OracleResult(fmt.inf_bits(sign), _NONE)
+        return _result((_landmarks(fmt).inf[sign], _NONE))
     if cb == _INF:
-        return OracleResult(fmt.zero_bits(sign), _NONE)
+        return _result((_landmarks(fmt).zero[sign], _NONE))
     if cb == _ZERO:
         if ca == _ZERO:
             return _default_nan(fmt)
-        return OracleResult(fmt.inf_bits(sign), _DIV_BY_ZERO)
+        return _result((_landmarks(fmt).inf[sign], _DIV_BY_ZERO))
     if ca == _ZERO:
-        return OracleResult(fmt.zero_bits(sign), _NONE)
+        return _result((_landmarks(fmt).zero[sign], _NONE))
     return _round_ratio(fmt, cfg, sign, ma, mb, ea - eb)
 
 
@@ -421,11 +497,11 @@ def _sqrt(fmt: FloatFormat, cfg: OracleConfig, a: int) -> OracleResult:
     if ca >= _QNAN:
         return _propagated_nan(fmt, (a,), (ca,))
     if ca == _ZERO:
-        return OracleResult(fmt.zero_bits(sa), _NONE)  # sqrt(±0) = ±0
+        return _result((_landmarks(fmt).zero[sa], _NONE))  # sqrt(±0) = ±0
     if sa:
         return _default_nan(fmt)
     if ca == _INF:
-        return OracleResult(a, _NONE)
+        return _result((a, _NONE))
     return _round_sqrt(fmt, cfg, ma, ea)
 
 
@@ -456,14 +532,14 @@ def _fma(
     if ca == _INF or cb == _INF:
         if cc == _INF and sc != psign:
             return _default_nan(fmt)
-        return OracleResult(fmt.inf_bits(psign), _NONE)
+        return _result((_landmarks(fmt).inf[psign], _NONE))
     if cc == _INF:
-        return OracleResult(c, _NONE)
+        return _result((c, _NONE))
     if ca == _ZERO or cb == _ZERO:
         if cc == _ZERO:
-            sign = psign if psign == sc else _cancel_zero_sign(cfg)
-            return OracleResult(fmt.zero_bits(sign), _NONE)
-        return OracleResult(c, _NONE)
+            sign = psign if psign == sc else cfg._cancel_sign
+            return _result((_landmarks(fmt).zero[sign], _NONE))
+        return _result((c, _NONE))
     if cc == _ZERO:
         return _round_dyadic(fmt, cfg, psign, ma * mb, ea + eb)
     return _round_sum(fmt, cfg, psign, ma * mb, ea + eb, sc, mc, ec)

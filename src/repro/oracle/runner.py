@@ -19,11 +19,12 @@ rounding directions crossed with FTZ/DAZ off and on.  Boundary-lattice
 cases are checked under *every* combination; random-stream cases cycle
 through the matrix round-robin so a budget buys breadth first.
 
-The runner is columnar: it draws a window of evaluations from the case
-stream, computes the engine side as result columns (one backend call
-per serving tier), the oracle side as one call per evaluation, and the
-verdicts as array comparisons.  Only mismatching positions become
-records, in stream order.
+The runner is columnar: the case stream is generated a window at a time
+straight into operand and cell columns (:func:`_eval_windows`), the
+engine side is computed as result columns (one backend call per serving
+tier), the oracle side as one call per evaluation, and the verdicts as
+array comparisons.  Only mismatching positions become records, in
+stream order.
 
 A sweep runs as one job on the execution engine (:mod:`repro.engine`):
 each op's case stream is cut into slices, each slice is one
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import operator
 import time
 import zlib
 from collections.abc import Sequence
@@ -479,7 +481,7 @@ def plan_op_slices(
     ]
 
 
-def _iter_evals(
+def _eval_windows(
     op: str,
     fmt: FloatFormat,
     budget: int,
@@ -487,15 +489,21 @@ def _iter_evals(
     matrix: tuple,
     case_lo: int,
     case_hi: int | None,
+    window: int,
 ):
-    """One op's evaluation stream (or a slice of it), as an iterator.
+    """One op's evaluation stream (or a slice of it), ``window``
+    evaluations at a time.
 
-    Each item is ``(first_of_case, operands, cell)`` where ``cell``
-    indexes ``matrix`` and ``first_of_case`` marks the first evaluation
-    of a new case (the per-case statistics hook).  This is the single
-    source of truth for combo selection and budget cutoff: the leading
-    full-matrix cases run every cell in ``matrix`` order, and every
-    later case runs one cell, round-robin, until the budget is spent.
+    Each item is ``(cases, slots, cells)`` for the next ``window``
+    evaluations (fewer in the last): ``slots`` holds one operand list
+    per argument position, ``cells`` the matching indices into
+    ``matrix``, and ``cases`` counts the cases whose first evaluation
+    falls in the window (the per-case statistics hook).  This is the
+    single source of truth for combo selection and budget cutoff: the
+    leading full-matrix cases run every cell in ``matrix`` order, and
+    every later case runs one cell, round-robin, until the budget is
+    spent.  The two phases share windows, so where the head ends does
+    not change how many engine calls a window makes.
     """
     arity = OP_ARITY[op]
     matrix_len = len(matrix)
@@ -503,25 +511,45 @@ def _iter_evals(
     case_seed = seed ^ (zlib.crc32(op.encode()) & 0xFFFF)
     cases = itertools.islice(generate_cases(fmt, arity, budget, case_seed),
                              case_lo, case_hi)
+    n_cases, slots, cells = 0, [[] for _ in range(arity)], []
 
-    def full_matrix():
-        remaining = budget - eval_offset(case_lo, fmc, matrix_len, budget)
-        for _, operands in zip(range(case_lo, fmc), cases):
-            if remaining <= 0:
-                return
-            for cell in range(min(matrix_len, remaining)):
-                yield cell == 0, operands, cell
-            remaining -= matrix_len
+    # The full-matrix head: each case repeated over its cells, split
+    # across windows where one fills up.
+    remaining = budget - eval_offset(case_lo, fmc, matrix_len, budget)
+    for _, operands in zip(range(case_lo, fmc), cases):
+        if remaining <= 0:
+            break
+        n_cases += 1
+        cell, k = 0, min(matrix_len, remaining)
+        remaining -= matrix_len
+        while cell < k:
+            take = min(k - cell, window - len(cells))
+            for slot, value in zip(slots, operands):
+                slot.extend(itertools.repeat(value, take))
+            cells.extend(range(cell, cell + take))
+            cell += take
+            if len(cells) == window:
+                yield n_cases, slots, cells
+                n_cases, slots, cells = 0, [[] for _ in range(arity)], []
 
-    # The round-robin tail, one evaluation per case, in C iterators.
+    # The round-robin tail, one evaluation per case, a window's worth
+    # of cases at a time.
     tail_lo = max(case_lo, fmc)
     tail_budget = max(0, budget - eval_offset(tail_lo, fmc, matrix_len,
                                               budget))
+    tail = itertools.islice(cases, tail_budget)
     tail_cells = itertools.islice(itertools.cycle(range(matrix_len)),
                                   (tail_lo - fmc) % matrix_len, None)
-    tail = zip(itertools.repeat(True), itertools.islice(cases, tail_budget),
-               tail_cells)
-    return itertools.chain(full_matrix(), tail)
+    while chunk := list(itertools.islice(tail, window - len(cells))):
+        n_cases += len(chunk)
+        for slot, column in zip(slots, zip(*chunk)):
+            slot.extend(column)
+        cells.extend(itertools.islice(tail_cells, len(chunk)))
+        if len(cells) == window:
+            yield n_cases, slots, cells
+            n_cases, slots, cells = 0, [[] for _ in range(arity)], []
+    if cells:
+        yield n_cases, slots, cells
 
 
 def run_op_slice(
@@ -546,8 +574,8 @@ def run_op_slice(
     of disjoint slices is the whole sweep, bit for bit.  The first
     ``max_discrepancies`` discrepancies are shrunk and returned.
 
-    The slice runs window by window (:data:`_EVAL_WINDOW` evaluations).
-    Per window, the engine side is a pair of result columns computed
+    The slice runs window by window (:data:`_EVAL_WINDOW` evaluations,
+    as columns from :func:`_eval_windows`).  Per window, the engine side is a pair of result columns computed
     through the ``engine_backend`` (one call per serving tier, see
     :func:`_engine_columns`); the oracle side is one
     :func:`~repro.oracle.exact.oracle_operation` call per evaluation,
@@ -585,18 +613,18 @@ def run_op_slice(
 
     with telemetry.tracer.span("oracle.op", op=op, format=fmt.name) as span:
         started = time.perf_counter()
-        stream = _iter_evals(op, fmt, budget, seed, matrix, case_lo, case_hi)
+        windows = _eval_windows(op, fmt, budget, seed, matrix, case_lo,
+                                case_hi, _EVAL_WINDOW)
         # Hot-loop bindings: the per-eval instrumented cost is two clock
         # reads and one histogram observation.
         reference = oracle_operation
         clock = time.perf_counter
         observe_latency = latency.observe
-        while window := list(itertools.islice(stream, _EVAL_WINDOW)):
-            firsts, operands, cells = zip(*window)
+        flag_value = operator.attrgetter("_value_")
+        for n_cases, slots, cells in windows:
             n = len(cells)
-            stats.cases += firsts.count(True)
+            stats.cases += n_cases
             stats.evals += n
-            slots = tuple(zip(*operands))
             columns = [np.array(slot, dtype=dtype) for slot in slots]
             cell_lanes = np.array(cells, dtype=np.intp)
             engine_bits, engine_flags = _engine_columns(
@@ -605,7 +633,7 @@ def run_op_slice(
             lane_configs = map(configs.__getitem__, cells)
             if instrumented:
                 oracle = []
-                for cfg, case in zip(lane_configs, operands):
+                for cfg, *case in zip(lane_configs, *slots):
                     check_started = clock()
                     oracle.append(reference(op, fmt, cfg, *case))
                     observe_latency(clock() - check_started)
@@ -616,8 +644,8 @@ def run_op_slice(
                                   *slots))
             oracle_bits, oracle_flags = zip(*oracle)
             value_bad = engine_bits != np.array(oracle_bits, dtype=dtype)
-            flags_bad = engine_flags != np.array(
-                [flags._value_ for flags in oracle_flags], dtype=np.uint8)
+            flags_bad = engine_flags != np.fromiter(
+                map(flag_value, oracle_flags), dtype=np.uint8, count=n)
             mismatch = value_bad | flags_bad
             stats.value_agree += n - int(np.count_nonzero(value_bad))
             stats.flag_agree += n - int(np.count_nonzero(flags_bad))
@@ -628,7 +656,8 @@ def run_op_slice(
                 room = max(0, max_discrepancies - len(sink))
                 for pos in np.flatnonzero(mismatch)[:room].tolist():
                     disc = _discrepancy(
-                        op, fmt, operands[pos], configs[cells[pos]],
+                        op, fmt, tuple(slot[pos] for slot in slots),
+                        configs[cells[pos]],
                         int(engine_bits[pos]),
                         FLAGS_BY_VALUE[int(engine_flags[pos])],
                         oracle_bits[pos], oracle_flags[pos])

@@ -27,6 +27,7 @@ from repro.staticfp.regions import (
     total_keys,
     variable_regions,
 )
+from repro.telemetry import telemetry_session
 from tests.strategies import special_bits
 
 FAST_MATH = optimization_level("--ffast-math")
@@ -186,6 +187,20 @@ class TestGuidedSearch:
             coverage.exercised
         data = coverage.to_dict()
         assert data["exercised"] == coverage.exercised
+
+    @pytest.mark.parametrize("source", ["a*b + c", "(a + b) - a",
+                                        "x / y + 1.0"])
+    def test_coverage_is_the_same_with_telemetry_on_and_off(self, source):
+        """Marks taken directly (memoized per node and flag set) equal
+        marks decoded from the telemetry stream."""
+        expr = parse_expr(source)
+        optimized = optimize(expr, O3)
+        plain = guided_search(expr, optimized, O3, trials=300)
+        with telemetry_session():
+            traced = guided_search(expr, optimized, O3, trials=300)
+        assert plain.coverage.covered == traced.coverage.covered
+        assert plain.coverage.exercised > 0
+        assert plain.witness == traced.witness
 
     def test_variable_free_expression_searches_the_empty_binding(self):
         expr = parse_expr("0.1 + 0.2")

@@ -24,7 +24,7 @@ from repro.oracle.native import (
     native_result_bits,
     native_supported,
 )
-from repro.oracle.runner import _iter_evals
+from repro.oracle.runner import _EVAL_WINDOW, _eval_windows
 from repro.softfloat.formats import BINARY16, BINARY32, BINARY64
 
 RNE = RoundingMode.NEAREST_EVEN
@@ -136,10 +136,12 @@ def test_sweep_native_tallies_follow_the_per_lane_rule(fmt, op):
     assert report.clean
     cfg = OracleConfig(rounding=RNE)
     agree = 0
-    for _, operands, _ in _iter_evals(op, fmt, budget, seed, matrix, 0,
-                                      None):
-        oracle_bits = oracle_operation(op, fmt, cfg, *operands).bits
-        agree += _agree(fmt, _struct_bits(fmt, op, operands), oracle_bits)
+    for _, slots, _ in _eval_windows(op, fmt, budget, seed, matrix, 0,
+                                     None, _EVAL_WINDOW):
+        for operands in zip(*slots):
+            oracle_bits = oracle_operation(op, fmt, cfg, *operands).bits
+            agree += _agree(fmt, _struct_bits(fmt, op, operands),
+                            oracle_bits)
     stats = report.op_stats[op]
     assert stats.native_evals == budget
     assert stats.native_agree == agree

@@ -21,7 +21,7 @@ from repro.oracle import (
     generate_cases,
     run_conformance,
 )
-from repro.oracle.runner import _ENGINE_CHUNK, _iter_evals
+from repro.oracle.runner import _ENGINE_CHUNK, _EVAL_WINDOW, _eval_windows
 from repro.oracle.shrink import shrink_case, simplicity_key
 from repro.softfloat import BINARY16, BINARY32, SoftFloat, get_backend
 from repro.softfloat.formats import BINARY64, BINARY128, TINY8
@@ -216,15 +216,35 @@ class TestEngineCallsPerTier:
         matrix = tuple(itertools.product(RoundingMode, self.FULL_MATRIX))
         per_cell = Counter()
         for op in self.OPS:
-            for *_, cell in _iter_evals(
-                    op, BINARY64, budget, seed, matrix, 0, None):
-                mode, (ftz, daz) = matrix[cell]
-                per_cell[op, auto.select(op, BINARY64, mode, ftz,
-                                         daz).name] += 1
+            for *_, cells in _eval_windows(
+                    op, BINARY64, budget, seed, matrix, 0, None,
+                    _EVAL_WINDOW):
+                for cell in cells:
+                    mode, (ftz, daz) = matrix[cell]
+                    per_cell[op, auto.select(op, BINARY64, mode, ftz,
+                                             daz).name] += 1
         assert lanes == dict(per_cell)
         assert set(calls) == set(lanes)
         for key, n_calls in calls.items():
             assert n_calls <= -(-lanes[key] // _ENGINE_CHUNK), key
+
+    def test_telemetry_on_equals_off_on_full_matrix_binary64(self):
+        """The instrumented oracle loop (each evaluation timed) and the
+        plain one deliver the same report."""
+        def sweep():
+            return run_conformance(
+                BINARY64, self.OPS, budget=600, seed=11,
+                engine_backend="auto", env_combos=self.FULL_MATRIX)
+
+        plain = sweep()
+        with telemetry_session() as session:
+            traced = sweep()
+        assert plain.clean and plain.total_evals == 600 * len(self.OPS)
+        assert traced.canonical_json() == plain.canonical_json()
+        snapshot = session.metrics.snapshot()
+        for op in self.OPS:
+            assert snapshot[f"oracle.evals_total{{op={op}}}"]["value"] == 600
+            assert snapshot[f"oracle.eval_seconds{{op={op}}}"]["count"] == 600
 
     @pytest.mark.skipif(not host_fastpath_ok(),
                         reason="native path disabled")
