@@ -14,6 +14,7 @@ Three sources, combined per operation:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections.abc import Iterator
@@ -53,8 +54,10 @@ def _neighbors(fmt: FloatFormat, bits: int) -> list[int]:
     return out
 
 
-def boundary_operands(fmt: FloatFormat) -> list[int]:
-    """The deterministic corner lattice (deduplicated, stable order)."""
+@functools.lru_cache(maxsize=32)
+def boundary_operands(fmt: FloatFormat) -> tuple[int, ...]:
+    """The deterministic corner lattice (deduplicated, stable order),
+    built once per format: every op slice of a run draws on it."""
     landmarks = []
     for sign in (0, 1):
         landmarks.extend([
@@ -80,7 +83,7 @@ def boundary_operands(fmt: FloatFormat) -> list[int]:
             if fmt.frac_bits > 2:
                 seen.setdefault(
                     fmt.signaling_nan_bits(sign, fmt.quiet_bit >> 1), None)
-    return list(seen)
+    return tuple(seen)
 
 
 def random_operands(fmt: FloatFormat, rng: random.Random) -> Iterator[int]:

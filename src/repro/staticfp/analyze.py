@@ -53,6 +53,7 @@ __all__ = [
     "AbsorptionInfo",
     "analyze",
     "as_abstract",
+    "extend_analysis",
     "reuse_analysis",
 ]
 
@@ -118,6 +119,7 @@ class Analysis:
     order: tuple[Expr, ...]  # unique nodes, pre-order
     _facts: dict[int, NodeFact]
     bindings: Mapping[str, AbstractValue]
+    assume_nan_inputs: bool = False
 
     def fact(self, node: Expr) -> NodeFact:
         """The fact computed for a node object of this expression."""
@@ -239,15 +241,32 @@ def reuse_analysis(
     return analyze(expr, bindings, config)
 
 
+def extend_analysis(analysis: Analysis, expr: Expr) -> Analysis:
+    """The analysis of ``expr`` (a rewrite of ``analysis.expr``) under
+    the same config, bindings and NaN assumption.
+
+    A node's fact depends only on its subtree, and the rewrite passes
+    keep every untouched subtree object, so the facts of nodes
+    ``analysis`` has already seen are reused by identity and only the
+    nodes the rewrite built are transferred: the result equals
+    :func:`analyze` of ``expr``, at the cost of the new nodes alone.
+    """
+    if expr is analysis.expr:
+        return analysis
+    return _run(expr, analysis.bindings, analysis.config, analysis.context,
+                analysis.assume_nan_inputs, dict(analysis._facts))
+
+
 def _run(
     expr: Expr,
     bindings: Mapping[str, AbstractValue],
     config: MachineConfig,
     ctx: AnalysisContext,
     assume_nan_inputs: bool,
+    facts: dict[int, NodeFact] | None = None,
 ) -> Analysis:
     default = AbstractValue.top(ctx.fmt, nan=assume_nan_inputs)
-    facts: dict[int, NodeFact] = {}
+    facts = {} if facts is None else facts
 
     def visit(node: Expr) -> NodeFact:
         known = facts.get(id(node))
@@ -307,6 +326,7 @@ def _run(
         order=order,
         _facts=facts,
         bindings=bindings,
+        assume_nan_inputs=assume_nan_inputs,
     )
 
 

@@ -42,7 +42,12 @@ from repro.optsim.machine import MachineConfig
 from repro.softfloat import SoftFloat, next_down, next_up, special_values
 from repro.softfloat.directed import probe_op
 from repro.softfloat.formats import FloatFormat
-from repro.staticfp.analyze import Analysis, as_abstract, reuse_analysis
+from repro.staticfp.analyze import (
+    Analysis,
+    as_abstract,
+    extend_analysis,
+    reuse_analysis,
+)
 from repro.staticfp.domain import (
     AbstractValue,
     _le,
@@ -630,12 +635,12 @@ def divergence_goals(
     """
     from repro.staticfp.safety import predict_pass_safety
 
+    analysis = reuse_analysis(analysis, expr, bindings, config)
     if safety is None:
         safety = predict_pass_safety(expr, config, bindings,
                                      analysis=analysis)
     fmt = config.fmt
     base = variable_regions(expr, config, bindings)
-    analysis = reuse_analysis(analysis, expr, bindings, config)
     goals: list[SearchGoal] = []
     seen: set[str] = set()
 
@@ -672,9 +677,7 @@ def divergence_goals(
                 "contraction removes the product rounding; any inexact"
                 " admitted product exposes it")
             continue
-        before_analysis = reuse_analysis(
-            analysis, verdict.before, bindings, config
-        )
+        before_analysis = extend_analysis(analysis, verdict.before)
         for node in before_analysis.order:
             fact = before_analysis.fact(node)
             info = fact.cancellation

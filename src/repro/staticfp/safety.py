@@ -12,21 +12,63 @@ a *proof sketch* (dynamic search must find no value divergence), while
 guarantee of divergence.  The same split applies to ``flags_safe`` for
 the sticky-flag footprint, which rewrites can change even when values
 are identical (folding ``0.1 + 0.2`` erases its INEXACT).
+
+A value-preserving rewrite's flag verdict follows the rewrite, not the
+whole tree.  Each site where the rewritten tree differs from the old
+one is judged on the bound ranges, with the per-node facts of the
+shared :class:`~repro.staticfp.analyze.Analysis` (extended to the nodes
+each rewrite builds, never re-analyzed), by the first rule that
+applies:
+
+- ``table``: rewrites that raise the same flags as what they replace,
+  in every rounding mode and FTZ/DAZ setting — ``x/2^k -> x*2^-k``
+  with both constants normal, ``-(-x) -> x``, ``abs(abs(x)) ->
+  abs(x)``, and folding the negation or ``abs`` of a literal that is
+  not a signaling NaN;
+- ``conditional``: ``x*1``, ``1*x`` and ``x/1 -> x`` are flag-identical
+  only when ``x`` can be neither subnormal (the multiply raises
+  DENORMAL_RESULT) nor NaN (a signaling one raises INVALID);
+- ``removed``: otherwise the operations the rewrite removes and the
+  ones it puts in their place must all be unable to raise any flag
+  (under DAZ, nor read an operand that may be subnormal: the facts
+  read it as zero, strict evaluation does not), and neither side may
+  deliver a signaling NaN (the value contract counts every NaN as one
+  value, but a signaling one raises INVALID where it is consumed);
+- anything else is ``unsafe``.
+
+Under the analyzer's contract (must ⊆ concrete ⊆ may) a site judged
+safe leaves the sticky union unchanged; folding ``0.1 + 0.2`` still
+removes an addition that may be inexact, and stays unsafe.  With
+telemetry on, each site's rule is counted as
+``staticfp.pass_flags_rule{pass, rule}``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 
 from repro.fpenv.flags import FPFlag
-from repro.optsim.ast import Binary, BinOp, Expr, Unary, UnOp
+from repro.optsim.ast import (
+    Binary,
+    BinOp,
+    Const,
+    Expr,
+    Unary,
+    UnOp,
+    walk_unique,
+)
 from repro.optsim.compliance import _same_value
 from repro.optsim.evaluator import evaluate
 from repro.optsim.machine import STRICT, MachineConfig
+from repro.optsim.passes.fastmath import (
+    _exact_power_of_two_reciprocal,
+    _is_const,
+)
 from repro.optsim.pipeline import _MAX_ITERATIONS, enabled_passes
 from repro.softfloat import SoftFloat
-from repro.staticfp.analyze import Analysis, analyze, reuse_analysis
+from repro.staticfp.analyze import Analysis, extend_analysis, reuse_analysis
+from repro.telemetry import get_telemetry
 
 __all__ = [
     "PassVerdict",
@@ -142,9 +184,13 @@ def predict_pass_safety(
     Replays the pipeline's fixed-point loop pass by pass, classifying
     each application; verdicts for a pass that fired in several
     iterations are merged conservatively (any unsafe application makes
-    the pass unsafe).  A pass that does not rewrite keeps the tree
-    object, so ``analysis`` (of ``expr``) serves an unrewritten tree.
+    the pass unsafe).  ``analysis`` (of ``expr`` under ``config``, on
+    ``bindings``) is analyzed here when not given, and extended to
+    each rewritten tree: the compiled form's analysis is the last
+    extension, so an unrewritten tree keeps ``analysis`` itself.
     """
+    telemetry = get_telemetry()
+    metrics = telemetry.metrics if telemetry.enabled else None
     active = enabled_passes(config)
     merged: dict[str, PassVerdict] = {
         p.name: PassVerdict(
@@ -154,20 +200,22 @@ def predict_pass_safety(
         for p in active
     }
     point_bindings = _as_point_bindings(expr, config, bindings)
+    analysis = reuse_analysis(analysis, expr, bindings, config)
     current = expr
     for _ in range(_MAX_ITERATIONS):
         previous = current
         for pass_ in active:
             rewritten = pass_.apply(current, config)
             if rewritten != current:
+                extended = extend_analysis(analysis, rewritten)
                 verdict = _classify(
-                    pass_, current, rewritten, config, point_bindings
+                    pass_, current, rewritten, config, point_bindings,
+                    analysis, extended, metrics,
                 )
                 merged[pass_.name] = _merge(merged[pass_.name], verdict)
-                current = rewritten
+                current, analysis = rewritten, extended
         if current == previous:
             break
-    analysis = reuse_analysis(analysis, current, bindings, config)
     env_value, env_flags, env_reason = _env_verdict(analysis, config)
     return SafetyReport(
         expr=expr,
@@ -231,15 +279,28 @@ def _classify(
     after: Expr,
     config: MachineConfig,
     point_bindings: dict[str, SoftFloat] | None,
+    before_facts: Analysis,
+    after_facts: Analysis,
+    metrics,
 ) -> PassVerdict:
+    """One pass application's verdict.  ``before_facts`` and
+    ``after_facts`` analyze the two trees on the bound ranges."""
     strict = STRICT.replace(fmt=config.fmt)
     if pass_.value_preserving:
         # Value-preservation is the pass's contract; flag preservation
         # is not (folding or deleting an operation erases its sticky
-        # contribution), so flags are safe only when the rewritten
-        # expression provably raises no flags at all.
-        may = analyze(before, None, strict).may_flags
-        flags_safe = may == FPFlag.NONE
+        # contribution).  So each site the rewrite replaced must be a
+        # flag-identical table entry, a unit factor on an operand that
+        # is neither subnormal nor NaN, or remove and add only
+        # operations that raise nothing on these ranges (the rules of
+        # the module docstring).
+        flags_safe = True
+        for rule in _site_rules(before, after, config,
+                                before_facts, after_facts):
+            if metrics is not None:
+                metrics.counter("staticfp.pass_flags_rule",
+                                rule=rule, **{"pass": pass_.name}).inc()
+            flags_safe = flags_safe and rule != "unsafe"
         reason = "value-preserving rewrite"
         if not flags_safe:
             reason += "; removed operations may have raised sticky flags"
@@ -275,6 +336,109 @@ def _classify(
         reason=pass_.description or "rewrite is not value-preserving",
         before=before, after=after,
     )
+
+
+def _site_rules(
+    before: Expr,
+    after: Expr,
+    config: MachineConfig,
+    before_facts: Analysis,
+    after_facts: Analysis,
+) -> Iterator[str]:
+    """The rule of the module docstring that decides each maximal site
+    at which ``after`` differs from ``before`` (every node above a site
+    is the same operation in both trees): ``"table"``,
+    ``"conditional"`` or ``"removed"`` when the site keeps the sticky
+    flags, else ``"unsafe"``."""
+    if before is after or before == after:
+        return
+    operands = _table_operands(before, after, config, before_facts)
+    if operands is not None:
+        yield "table"
+        yield from _site_rules(*operands, config, before_facts, after_facts)
+        return
+    children = before.children()
+    if children and type(before) is type(after) \
+            and getattr(before, "op", None) == getattr(after, "op", None):
+        for pair in zip(children, after.children()):
+            yield from _site_rules(*pair, config, before_facts, after_facts)
+        return
+    if _drops_unit_factor(before, after):
+        value = before_facts.fact(after).value
+        yield "unsafe" if value.can_subnormal or value.maybe_nan \
+            else "conditional"
+        return
+    if before_facts.fact(before).value.maybe_snan \
+            or after_facts.fact(after).value.maybe_snan:
+        yield "unsafe"
+        return
+    before_nodes = {id(node): node for node in walk_unique(before)}
+    after_nodes = {id(node): node for node in walk_unique(after)}
+    quiet = all(
+        _raises_nothing(node, before_facts, config)
+        for key, node in before_nodes.items() if key not in after_nodes
+    ) and all(
+        _raises_nothing(node, after_facts, config)
+        for key, node in after_nodes.items() if key not in before_nodes
+    )
+    yield "removed" if quiet else "unsafe"
+
+
+def _raises_nothing(node: Expr, facts: Analysis, config: MachineConfig
+                    ) -> bool:
+    """Can ``node`` raise no flag on the facts' ranges, under strict
+    evaluation too?  The facts follow ``config``; where it has DAZ they
+    read a subnormal operand as zero, which strict evaluation does not
+    (a flushed *result* shows in the flags already)."""
+    fact = facts.fact(node)
+    if fact.may_flags != FPFlag.NONE:
+        return False
+    return not config.daz or fact.op in ("neg", "abs") or not any(
+        facts.fact(child).value.can_subnormal for child in node.children()
+    )
+
+
+def _drops_unit_factor(before: Expr, after: Expr) -> bool:
+    """Is ``before -> after`` one of ``x*1``, ``1*x``, ``x/1 -> x``?"""
+    if not isinstance(before, Binary):
+        return False
+    if after is before.left:
+        return before.op in (BinOp.MUL, BinOp.DIV) \
+            and _is_const(before.right, 1)
+    return after is before.right and before.op is BinOp.MUL \
+        and _is_const(before.left, 1)
+
+
+def _table_operands(
+    before: Expr, after: Expr, config: MachineConfig, facts: Analysis
+) -> tuple[Expr, Expr] | None:
+    """When ``before -> after`` is in the table of rewrites that raise
+    the same flags in every environment, the operand pair still to be
+    judged (one node twice when there is none); else None."""
+    if isinstance(before, Binary) and before.op is BinOp.DIV \
+            and isinstance(after, Binary) and after.op is BinOp.MUL:
+        # x/2^k -> x*2^-k: one exact value is rounded either way; the
+        # guard makes the reciprocal of each constant normal, so
+        # neither is a subnormal that DAZ reads as zero
+        reciprocal = _exact_power_of_two_reciprocal(before.right, config)
+        if reciprocal is not None and after.right == reciprocal \
+                and _exact_power_of_two_reciprocal(after.right, config) \
+                is not None:
+            return before.left, after.left
+        return None
+    if not isinstance(before, Unary) or before.op is UnOp.SQRT:
+        return None
+    inner = before.operand
+    if isinstance(inner, Unary) and inner.op is before.op:
+        # -(-x) -> x and abs(abs(x)) -> abs(x): quiet sign operations
+        kept = inner.operand if before.op is UnOp.NEG else inner
+        return (after, after) if after is kept else None
+    # -c or abs(c) folded: the literal's sign is set quietly, unless it
+    # is a signaling NaN, which folding turns quiet
+    if isinstance(inner, Const) and isinstance(after, Const) \
+            and not facts.fact(inner).value.maybe_snan:
+        return after, after
+    return None
 
 
 def _canonical_subs(expr: Expr) -> Expr:

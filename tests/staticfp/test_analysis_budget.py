@@ -100,3 +100,36 @@ def test_corpus_needs_fewer_analyses_than_one_per_stage(analyze_calls):
         1 for entry in ENTRIES if GOLDEN[entry.key]["verdict"] == "unsafe"
     )
     assert len(analyze_calls) <= len(ENTRIES) + 2 * searched
+
+
+@pytest.mark.parametrize("level", ["strict", "-O3", "-Ofast"])
+def test_a_lint_without_search_analyzes_once(level, analyze_calls):
+    """The pass-safety verdicts and the compiled form's analysis extend
+    the lint's own analysis to the rewritten nodes; none re-analyzes."""
+    from repro.optsim.machine import optimization_level
+
+    for entry in ENTRIES:
+        analyze_calls.clear()
+        lint(entry.expr, optimization_level(level),
+             entry.binding_map() or None)
+        assert len(analyze_calls) == 1, entry.key
+
+
+@pytest.mark.parametrize("level", ["strict", "-O3", "--ffast-math"])
+def test_extended_analysis_equals_a_fresh_one(level):
+    """Each compiled form's analysis, extended from the source's, holds
+    exactly the facts a fresh analysis of the compiled tree computes."""
+    from repro.optsim.machine import optimization_level
+    from repro.staticfp import analyze, predict_pass_safety
+
+    config = optimization_level(level)
+    for entry in ENTRIES:
+        bindings = entry.binding_map() or None
+        safety = predict_pass_safety(parse_expr(entry.expr), config,
+                                     bindings)
+        fresh = analyze(safety.compiled, bindings, config)
+        extended = safety.analysis
+        assert extended.expr is safety.compiled
+        assert extended.order == fresh.order
+        assert [extended.fact(node) for node in extended.order] \
+            == [fresh.fact(node) for node in fresh.order], entry.key

@@ -210,14 +210,15 @@ class TestFindWitnessOutcomes:
         assert report.states == (1 << TINY8.width) ** 2
 
     def test_exhaustive_refutes_an_unsafe_overapproximation(self):
-        # (a - b) / 2.0 is statically flags-unsafe under strict
-        # (folding 2.0 erases nothing here, but the analysis cannot
-        # prove it) yet dynamically equivalent: exhaustive enumeration
-        # on TINY8 decides the question the static verdict cannot.
+        # (a - b) / 2.0 -> (a - b) * 0.5 raises the same flags as the
+        # division, so the static verdict is flags-safe; told to expect
+        # a divergence anyway, the exhaustive sweep on TINY8 finds none
+        # and labels the claim it refutes.
         expr = parse_expr("(a - b) / 2.0")
         config = STRICT.replace(fmt=TINY8)
         bindings = {"a": ("4", "8"), "b": ("1", "2")}
         safety = predict_pass_safety(expr, config, bindings)
+        assert safety.flags_safe
         report = find_witness(
             expr, config, bindings, strategy="exhaustive",
             safety=safety, expect_safe=False,
