@@ -184,9 +184,10 @@ def _candidate_stream(
     rng: random.Random,
     extra: Sequence[Mapping[str, SoftFloat]],
 ):
-    """Yield candidate bindings: explicit extras, then per-goal lattice
-    combinations, then coverage-prioritized region sampling with a
-    periodic unbiased draw from the admitted base regions."""
+    """Yield candidate bindings: explicit extras, then the goals' built
+    candidates, then per-goal lattice combinations, then
+    coverage-prioritized region sampling with a periodic unbiased draw
+    from the admitted base regions."""
     fmt = next(iter(base.values())).fmt if base else None
 
     def build(bits_by_name: Mapping[str, int]) -> dict[str, SoftFloat]:
@@ -207,8 +208,22 @@ def _candidate_stream(
         yield {}, "base"
         return
 
-    # Lattice tier: the deterministic probe points of every goal.
+    # Built tier: bindings a goal constructed, completed with each
+    # missing variable's first lattice point.
     seen: set[tuple[int, ...]] = set()
+    for goal in goals:
+        for built in goal.candidates:
+            bits = dict(built)
+            combo = tuple(
+                bits[name] if name in bits
+                else base[name].lattice_points()[0] for name in names
+            )
+            if combo not in seen and all(
+                    base[name].contains(b) for name, b in zip(names, combo)):
+                seen.add(combo)
+                yield build(dict(zip(names, combo))), goal.name
+
+    # Lattice tier: the deterministic probe points of every goal.
     goal_list = [("base", {})] + [(g.name, g.region_map()) for g in goals]
     for goal_name, regions in goal_list:
         lattices = [

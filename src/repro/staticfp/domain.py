@@ -32,10 +32,11 @@ Design notes on the three places naive corner evaluation would be
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import NamedTuple
 
 from repro.fpenv.env import FPEnv
-from repro.fpenv.flags import FPFlag
+from repro.fpenv.flags import FLAGS_BY_VALUE, FPFlag
 from repro.fpenv.rounding import RoundingMode
 from repro.softfloat import fp_le, fp_lt, next_down
 from repro.softfloat.directed import down_env, probe_op, up_env
@@ -80,6 +81,13 @@ def _max_sf(values: list[SoftFloat]) -> SoftFloat:
         if _lt(best, v) or (v.is_zero and best.is_zero and not v.is_negative):
             best = v
     return best
+
+
+@functools.lru_cache(maxsize=None)
+def _subnormal_edges(fmt: FloatFormat) -> tuple[SoftFloat, SoftFloat]:
+    """The smallest and the largest positive subnormal of ``fmt``."""
+    return (SoftFloat.min_subnormal(fmt),
+            next_down(SoftFloat.min_normal(fmt), FPEnv()))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -266,8 +274,7 @@ class AbstractValue:
         """The range reaches into the subnormal band (either sign)."""
         if self.lo is None:
             return False
-        min_sub = SoftFloat.min_subnormal(self.fmt)
-        max_sub = next_down(SoftFloat.min_normal(self.fmt), FPEnv())
+        min_sub, max_sub = _subnormal_edges(self.fmt)
         pos = _le(self.lo, max_sub) and _le(min_sub, self.hi)
         neg = _le(-max_sub, self.hi) and _le(self.lo, -min_sub)
         return pos or neg
@@ -508,8 +515,7 @@ def _daz_widen(v: AbstractValue) -> AbstractValue:
     subnormals too is a sound over-approximation)."""
     if v.lo is None or not v.can_subnormal:
         return v
-    min_sub = SoftFloat.min_subnormal(v.fmt)
-    max_sub = next_down(SoftFloat.min_normal(v.fmt), FPEnv())
+    min_sub, max_sub = _subnormal_edges(v.fmt)
     pos = v.pos_zero or (_le(v.lo, max_sub) and _le(min_sub, v.hi))
     neg = v.neg_zero or (_le(-max_sub, v.hi) and _le(v.lo, -min_sub))
     return dataclasses.replace(v, pos_zero=pos, neg_zero=neg)
@@ -568,27 +574,30 @@ def _probe_corners(
     op: str,
     corner_sets: list[list[SoftFloat]],
     ctx: AnalysisContext,
-) -> tuple[list[SoftFloat], FPFlag]:
+) -> tuple[list[SoftFloat], FPFlag, FPFlag]:
     """Probe every corner combination under both directed roundings.
 
     Returns all non-NaN results (the hull candidates — sound extremes
-    for argumentwise-monotone operations) and the union of raised
-    flags.  NaN corners are dropped; NaN possibility is decided by the
-    callers' set predicates, never here.
+    for argumentwise-monotone operations), the union of raised flags,
+    and the flags every probe raised.  NaN corners are dropped; NaN
+    possibility is decided by the callers' set predicates, never here.
     """
     down, up = ctx.probe_envs()
     combos: list[tuple[SoftFloat, ...]] = [()]
     for pts in corner_sets:
         combos = [c + (p,) for c in combos for p in pts]
     results: list[SoftFloat] = []
-    flags = FPFlag.NONE
+    # flag sets as their integer values: no enum operator call per probe
+    flags = 0
+    every = FPFlag.ALL._value_
     for combo in combos:
         for env in (down, up):
             r, f = probe_op(op, *combo, env=env)
-            flags |= f
+            flags |= f._value_
+            every &= f._value_
             if not r.is_nan:
                 results.append(r)
-    return results, flags
+    return results, FLAGS_BY_VALUE[flags], FLAGS_BY_VALUE[every]
 
 
 def _assemble(
@@ -603,6 +612,7 @@ def _assemble(
     extra_may: FPFlag = FPFlag.NONE,
     extra_pos_zero: bool = False,
     extra_neg_zero: bool = False,
+    every_flags: FPFlag = FPFlag.NONE,
 ) -> TransferResult:
     """Build the final transfer result from hull candidates + rules.
 
@@ -612,6 +622,15 @@ def _assemble(
     attainable zeros whenever the hull reaches into ``(0, min_normal)``
     of either sign — under flush-to-zero or directed/odd rounding those
     interior results can land on zero even when no corner does).
+
+    ``every_flags`` are the flags every corner probe raised.  When
+    OVERFLOW is among them, the probe rounding toward zero overflowed
+    too, so each corner's exact result is at least ``2^(emax+1)`` in
+    magnitude; when those results also share one sign and no operand
+    or corner is NaN, every admitted result overflows in every rounding
+    direction (the probed operations are monotone or multilinear on
+    the box, so the corners bound the interior), and OVERFLOW|INEXACT
+    become must-flags.
     """
     may = corner_flags | extra_may
     if maybe_snan:
@@ -650,7 +669,11 @@ def _assemble(
         pos_zero=pos_zero,
         neg_zero=neg_zero,
     )
-    return TransferResult(value, may, FPFlag.NONE)
+    must = FPFlag.NONE
+    if every_flags & FPFlag.OVERFLOW and not (maybe_nan or maybe_snan) \
+            and (not lo.is_negative or hi.is_negative):
+        must = FPFlag.OVERFLOW | FPFlag.INEXACT
+    return TransferResult(value, may, must)
 
 
 def _negate_abstract(v: AbstractValue) -> AbstractValue:
@@ -689,7 +712,7 @@ def _transfer_addsub(
                          else FPFlag.NONE),
             FPFlag.NONE,
         )
-    candidates, corner_flags = _probe_corners(
+    candidates, corner_flags, every = _probe_corners(
         op, [a.probe_points(), b.probe_points()], ctx
     )
     pos_zero = neg_zero = False
@@ -701,6 +724,7 @@ def _transfer_addsub(
     return _assemble(
         ctx.fmt, candidates, corner_flags,
         ctx=ctx,
+        every_flags=every,
         maybe_nan=maybe_nan,
         maybe_snan=a.maybe_snan or b.maybe_snan,
         rounding_op=True,
@@ -725,12 +749,13 @@ def _transfer_mul(
                          else FPFlag.NONE),
             FPFlag.NONE,
         )
-    candidates, corner_flags = _probe_corners(
+    candidates, corner_flags, every = _probe_corners(
         "mul", [a.probe_points(), b.probe_points()], ctx
     )
     return _assemble(
         ctx.fmt, candidates, corner_flags,
         ctx=ctx,
+        every_flags=every,
         maybe_nan=maybe_nan,
         maybe_snan=a.maybe_snan or b.maybe_snan,
         rounding_op=True,
@@ -761,12 +786,13 @@ def _transfer_div(
         return _transfer_div_by_zero_span(
             a, b, ctx, maybe_nan, maybe_snan, extra_may
         )
-    candidates, corner_flags = _probe_corners(
+    candidates, corner_flags, every = _probe_corners(
         "div", [a.probe_points(), b.probe_points()], ctx
     )
     return _assemble(
         ctx.fmt, candidates, corner_flags,
         ctx=ctx,
+        every_flags=every,
         maybe_nan=maybe_nan,
         maybe_snan=maybe_snan,
         rounding_op=True,
@@ -854,7 +880,7 @@ def _transfer_fma(
             extra_may | (FPFlag.INVALID if maybe_snan else FPFlag.NONE),
             FPFlag.NONE,
         )
-    candidates, corner_flags = _probe_corners(
+    candidates, corner_flags, every = _probe_corners(
         "fma",
         [a.probe_points(), b.probe_points(), c.probe_points()],
         ctx,
@@ -871,6 +897,7 @@ def _transfer_fma(
     return _assemble(
         ctx.fmt, candidates, corner_flags,
         ctx=ctx,
+        every_flags=every,
         maybe_nan=maybe_nan,
         maybe_snan=maybe_snan,
         rounding_op=True,
@@ -908,10 +935,11 @@ def _transfer_sqrt(v: AbstractValue, ctx: AnalysisContext) -> TransferResult:
         points.append(SoftFloat.zero(ctx.fmt, 0))
     if v.neg_zero:
         points.append(SoftFloat.zero(ctx.fmt, 1))
-    candidates, corner_flags = _probe_corners("sqrt", [points], ctx)
+    candidates, corner_flags, every = _probe_corners("sqrt", [points], ctx)
     result = _assemble(
         ctx.fmt, candidates, corner_flags,
         ctx=ctx,
+        every_flags=every,
         maybe_nan=maybe_nan,
         maybe_snan=v.maybe_snan,
         rounding_op=True,
@@ -943,12 +971,13 @@ def _transfer_minmax(
             neg_zero=a.neg_zero or b.neg_zero,
         )
         return TransferResult(value, may, FPFlag.NONE)
-    candidates, corner_flags = _probe_corners(
+    candidates, corner_flags, every = _probe_corners(
         op, [a.probe_points(), b.probe_points()], ctx
     )
     return _assemble(
         ctx.fmt, candidates, corner_flags | may,
         ctx=ctx,
+        every_flags=every,
         maybe_nan=maybe_nan,
         maybe_snan=maybe_snan,
         rounding_op=False,

@@ -478,11 +478,19 @@ def _rule_opt_level(
             " standard-compliant level",
         )
     elif not is_standard_compliant(config):
+        bounded = ", ".join(
+            v.pass_name for v in safety.applied if v.proved_on_ranges
+        )
+        applies = (
+            f"its value-changing rewrites ({bounded}) round identically"
+            " on these ranges" if bounded
+            else "none applies to this expression"
+        )
         emit(
             analysis.expr, "opt_level", "info",
-            "level licenses value-changing rewrites, but none applies to"
-            " this expression (still: -O2 is the highest level that is"
-            " compliant by construction)",
+            f"level licenses value-changing rewrites, but {applies}"
+            " (still: -O2 is the highest level that is compliant by"
+            " construction)",
         )
     elif safety.applied:
         emit(

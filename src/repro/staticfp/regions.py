@@ -26,14 +26,19 @@ witness reachable through the refined path.
 :class:`SearchGoal` per candidate pass or exception flow (cancellation
 sites for reassociation, subnormal bands for FTZ/DAZ, overflow/
 invalid/divide-by-zero preconditions per node), each carrying the
-per-variable bit regions a guided search should sample from.
+per-variable bit regions a guided search should sample from.  Where a
+hazard has measure zero — a contraction whose product absorbs its
+addend diverges only on a rounding tie — the goal carries bindings
+built in integers instead (:func:`_tie_candidates`).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 from collections.abc import Mapping
+from fractions import Fraction
 
 from repro.fpenv.env import FPEnv
 from repro.fpenv.flags import FPFlag
@@ -528,6 +533,10 @@ class SearchGoal:
     name: str
     regions: tuple[tuple[str, BitRegion], ...]
     detail: str = ""
+    #: Bindings built rather than sampled, as ``(name, bits)`` pairs;
+    #: the search tries them before anything else (variables they leave
+    #: out take their region's first lattice point)
+    candidates: tuple[tuple[tuple[str, int], ...], ...] = ()
 
     def region_map(self) -> dict[str, BitRegion]:
         return dict(self.regions)
@@ -628,7 +637,8 @@ def divergence_goals(
     preconditions — results or inputs in the subnormal band), the
     applied value-changing passes (cancellation/absorption sites for
     reassociation, the whole admitted space for contraction — any
-    inexact product exposes the removed rounding), and the exception
+    inexact product exposes the removed rounding — led by built rounding
+    ties where the product absorbs the addend), and the exception
     flows (per-node OVERFLOW / UNDERFLOW / DIV_BY_ZERO / INVALID
     preconditions, backward-refined to the variables).  ``analysis``
     (of ``expr`` under ``config``) is reused, not redone.
@@ -644,11 +654,12 @@ def divergence_goals(
     goals: list[SearchGoal] = []
     seen: set[str] = set()
 
-    def add(name: str, regions, detail: str) -> None:
+    def add(name: str, regions, detail: str, candidates=()) -> None:
         if regions is None or name in seen or len(goals) >= max_goals:
             return
         seen.add(name)
-        goals.append(SearchGoal(name=name, regions=regions, detail=detail))
+        goals.append(SearchGoal(name=name, regions=regions, detail=detail,
+                                candidates=candidates))
 
     # --- environment hazards -----------------------------------------
     if config.daz:
@@ -672,12 +683,19 @@ def divergence_goals(
 
     # --- value-changing pass applications ----------------------------
     for verdict in safety.value_changing_applied:
+        before_analysis = extend_analysis(analysis, verdict.before)
         if verdict.pass_name == "fma-contraction":
+            for node in before_analysis.order:
+                candidates = _tie_candidates(node, before_analysis, base)
+                if candidates:
+                    add(f"midpoint:{node}", (),
+                        f"the product in '{node}' absorbs its addend: on a"
+                        " rounding tie the fused form rounds toward the"
+                        " addend, the unfused one to even", candidates)
             add(f"contract:{verdict.before}", (),
                 "contraction removes the product rounding; any inexact"
                 " admitted product exposes it")
             continue
-        before_analysis = extend_analysis(analysis, verdict.before)
         for node in before_analysis.order:
             fact = before_analysis.fact(node)
             info = fact.cancellation
@@ -727,6 +745,151 @@ def divergence_goals(
                 add(f"invalid:{node}", _goal_regions(var_map, base),
                     f"'{node}' can raise INVALID")
     return tuple(goals)
+
+
+def _tie_candidates(
+    node: Expr,
+    analysis: Analysis,
+    base: Mapping[str, BitRegion],
+    limit: int = 4,
+) -> tuple[tuple[tuple[str, int], ...], ...]:
+    """Bindings that put the exact product of a contraction site
+    ``x*y ± z`` on a rounding tie, with ``z`` breaking the tie away from
+    round-to-even: the unfused form rounds the product to the even
+    neighbour and then absorbs ``z``; the fused form lands on the odd
+    one.
+
+    Built only where the product surely absorbs the addend (``|z|``
+    below a quarter ulp of the smallest ``|x*y|``), where uniform
+    sampling can find nothing else, and only for distinct variables
+    ``x`` and ``y`` and a variable or literal ``z``.  The tie is solved
+    in integers inside the binding ranges: ``x = OX * 2^sx`` and ``y =
+    OY * 2^sy`` with odd ``OX`` of ``a`` bits and odd ``OY`` of ``p+1-a``
+    or ``p+2-a`` bits such that ``OX*OY`` has exactly ``p+1`` bits, whose
+    last one is then the half-ulp of a tie.  Balanced widths come first:
+    they need the least room in either range.
+    """
+    if not (isinstance(node, Binary) and node.op in (BinOp.ADD, BinOp.SUB)):
+        return ()
+    if isinstance(node.left, Binary) and node.left.op is BinOp.MUL:
+        product, addend = node.left, node.right
+    elif isinstance(node.right, Binary) and node.right.op is BinOp.MUL:
+        product, addend = node.right, node.left
+    else:
+        return ()
+    x, y = product.left, product.right
+    if not (isinstance(x, Var) and isinstance(y, Var)) or x.name == y.name \
+            or isinstance(addend, Var) and addend.name in (x.name, y.name) \
+            or not isinstance(addend, (Var, Const)):
+        return ()
+    p_fact = analysis.fact(product).value
+    z_fact = analysis.fact(addend).value
+    if p_fact.maybe_nan or p_fact.can_inf or z_fact.maybe_nan \
+            or z_fact.can_inf or z_fact.lo is None:
+        return ()
+    smallest = p_fact.min_magnitude()
+    if smallest.is_zero or 4 * z_fact.max_magnitude().to_fraction() \
+            >= Fraction(2) ** smallest.significand_value()[1]:
+        return ()
+    fmt = analysis.config.fmt
+    p = fmt.precision
+    # the addend enters the sum negated in x*y - z and z - x*y
+    addend_sign = -1 if node.op is BinOp.SUB else 1
+    widths = sorted(range(2, p), key=lambda a: (abs(2 * a - p - 1), a))
+    out: list[tuple[tuple[str, int], ...]] = []
+    for (xs, xe, xlo, xhi), (ys, ye, ylo, yhi) in itertools.product(
+            _significand_spans(analysis.fact(x).value),
+            _significand_spans(analysis.fact(y).value)):
+        for a in widths:
+            ox = _odd_between(-(-xlo >> (p - a)), xhi >> (p - a))
+            for b in (p + 1 - a, p + 2 - a):
+                if ox is None or not 2 <= b <= p:
+                    continue
+                oy = _odd_between(
+                    max(-(-ylo >> (p - b)), -(-(1 << p) // ox)),
+                    min(yhi >> (p - b), ((2 << p) - 1) // ox))
+                half_ulp = xe + p - a + ye + p - b
+                if oy is None or not fmt.emin <= half_ulp + p < fmt.emax:
+                    continue
+                tie = ox * oy
+                # RNE keeps the even neighbour: the lower one when the
+                # kept significand is even, else the upper; z must push
+                # the exact sum toward the other
+                toward = 1 if (tie >> 1) % 2 == 0 else -1
+                sign = (-1) ** (xs ^ ys) * toward * addend_sign
+                z = _tie_breaker(addend, z_fact, sign, half_ulp, fmt)
+                if z is None:
+                    continue
+                binding = [
+                    (x.name, fmt.pack(xs, xe + p - 1 + fmt.bias,
+                                      (ox << (p - a)) & fmt.sig_mask)),
+                    (y.name, fmt.pack(ys, ye + p - 1 + fmt.bias,
+                                      (oy << (p - b)) & fmt.sig_mask)),
+                ]
+                if isinstance(addend, Var):
+                    binding.append((addend.name, z.bits))
+                if all(base[name].contains(bits) for name, bits in binding):
+                    out.append(tuple(binding))
+                    if len(out) >= limit:
+                        return tuple(out)
+    return tuple(out)
+
+
+def _significand_spans(value: AbstractValue) -> list[tuple[int, int, int, int]]:
+    """``(sign, exp2, lo, hi)``: the normal members of ``value`` are
+    ``±m * 2^exp2`` for ``p``-bit integers ``lo <= m <= hi``; for each
+    sign, the spans of its lowest, middle and highest binades."""
+    fmt = value.fmt
+    top = (1 << fmt.precision) - 1
+    spans = []
+    if value.lo is None:
+        return spans
+    for sign in (0, 1):
+        lo, hi = value.lo, value.hi
+        if sign:
+            lo, hi = -hi, -lo
+        if not _lt(SoftFloat.zero(fmt), hi):
+            continue
+        lo = _max_sf([lo, SoftFloat.min_normal(fmt)])
+        hi = _min_sf([hi, SoftFloat.max_finite(fmt)])
+        if _lt(hi, lo):
+            continue
+        lo_mant, lo_exp = lo.significand_value()
+        hi_mant, hi_exp = hi.significand_value()
+        for exp2 in sorted({lo_exp, (lo_exp + hi_exp) // 2, hi_exp}):
+            spans.append((sign, exp2,
+                          lo_mant if exp2 == lo_exp else top // 2 + 1,
+                          hi_mant if exp2 == hi_exp else top))
+    return spans
+
+
+def _odd_between(lo: int, hi: int) -> int | None:
+    """An odd integer in ``[lo, hi]`` near its middle, or None."""
+    middle = (lo + hi) // 2 | 1
+    if middle > hi:
+        middle -= 2
+    return middle if middle >= lo else None
+
+
+def _tie_breaker(
+    addend: Expr, value: AbstractValue, sign: int, half_ulp: int,
+    fmt: FloatFormat,
+) -> SoftFloat | None:
+    """An admitted addend of ``sign`` below the tie's half-ulp
+    ``2^half_ulp`` in magnitude (a quarter ulp when the range allows),
+    or None."""
+    if isinstance(addend, Const):
+        z = value.lo
+        return z if not z.is_zero and (-1) ** z.sign == sign \
+            and z.to_fraction() * sign < Fraction(2) ** half_ulp else None
+    lo, hi = value.lo.to_fraction(), value.hi.to_fraction()
+    if sign < 0:
+        lo, hi = -hi, -lo
+    target = min(max(Fraction(2) ** (half_ulp - 1), lo), hi)
+    if target <= 0 or target >= Fraction(2) ** half_ulp:
+        return None
+    z = SoftFloat.from_fraction(sign * target, fmt)
+    return z if value.admits(z) and not z.is_zero else None
 
 
 def _invalid_preconditions(

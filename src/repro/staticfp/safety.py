@@ -41,15 +41,53 @@ safe leaves the sticky union unchanged; folding ``0.1 + 0.2`` still
 removes an addition that may be inexact, and stays unsafe.  With
 telemetry on, each site's rule is counted as
 ``staticfp.pass_flags_rule{pass, rule}``.
+
+A value-changing rewrite is value-safe at a point binding when both
+trees evaluate to the same value there (``point``).  On ranges, each
+site where contraction or reassociation changed the tree is judged on
+the same shared facts, under round-to-nearest-even only (the other
+modes are refused by the environment verdict anyway), by the first
+rule that applies; each rule settles the site's value *and* flags:
+
+- ``absorbed``: ``x*y ± z -> fma(x, y, ±z)`` where ``|x*y|``, rounded
+  up, is below a quarter ulp of ``|z|``'s smallest value, and the
+  product raises at most INEXACT.  Both forms deliver ``z`` and both
+  are inexact exactly when the product is nonzero.  A quarter, not a
+  half: when the signs can differ, ``z`` may sit on a binade edge,
+  where the spacing below it is half its ulp.  The converse — a product
+  that absorbs the addend — is *not* safe: a product on a rounding tie
+  is resolved one way by its own rounding and the other way by the
+  addend (``regions`` builds such ties as witnesses);
+- ``overflow``: the smallest exact ``|x*y|`` minus the largest ``|z|``
+  is at or above the RNE overflow threshold (``max_finite`` plus half
+  its ulp), so both forms give the same ``±inf`` with OVERFLOW|INEXACT;
+- ``infinite-addend``: ``z`` is surely infinite (its ends are one
+  infinity, or it surely overflows under RNE) and the rounded product
+  is surely finite, so both forms give ``z``; the product's may-flags
+  must be among the flags ``z``'s own evaluation surely raises;
+- ``dominant-leaf``: reassociation only re-brackets a ``+`` chain (no
+  negated pair dropped), and the other leaves, all of one sign and
+  none zero, sum (with every rounding bounded) to less than a quarter
+  ulp of the dominant leaf's smallest value: every bracketing delivers
+  the dominant leaf, each addition into it is inexact, and the sums of
+  the small leaves may raise at most INEXACT;
+- anything else is ``unsafe``.
+
+Under FTZ or DAZ a rule also needs every node of the site unable to
+produce or read a subnormal, so strict and configured evaluation of
+the site agree.  With telemetry on, each site's rule is counted as
+``staticfp.pass_value_rule{pass, rule}``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections.abc import Iterator, Mapping
+from fractions import Fraction
 
 from repro.fpenv.flags import FPFlag
 from repro.optsim.ast import (
+    FMA,
     Binary,
     BinOp,
     Const,
@@ -67,6 +105,7 @@ from repro.optsim.passes.fastmath import (
 )
 from repro.optsim.pipeline import _MAX_ITERATIONS, enabled_passes
 from repro.softfloat import SoftFloat
+from repro.softfloat.formats import FloatFormat
 from repro.staticfp.analyze import Analysis, extend_analysis, reuse_analysis
 from repro.telemetry import get_telemetry
 
@@ -75,6 +114,10 @@ __all__ = [
     "SafetyReport",
     "predict_pass_safety",
 ]
+
+
+#: The reason of a verdict a value rule decided
+_RANGE_PROOF = "rounds identically on the bound ranges"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -89,6 +132,12 @@ class PassVerdict:
     reason: str
     before: Expr
     after: Expr
+
+    @property
+    def proved_on_ranges(self) -> bool:
+        """A value-changing rewrite that a value rule proved to round
+        identically on the bound ranges."""
+        return self.applied and self.reason.startswith(_RANGE_PROOF)
 
     def describe(self) -> str:
         if not self.applied:
@@ -200,7 +249,7 @@ def predict_pass_safety(
         for p in active
     }
     point_bindings = _as_point_bindings(expr, config, bindings)
-    analysis = reuse_analysis(analysis, expr, bindings, config)
+    analysis = source = reuse_analysis(analysis, expr, bindings, config)
     current = expr
     for _ in range(_MAX_ITERATIONS):
         previous = current
@@ -216,7 +265,7 @@ def predict_pass_safety(
                 current, analysis = rewritten, extended
         if current == previous:
             break
-    env_value, env_flags, env_reason = _env_verdict(analysis, config)
+    env_value, env_flags, env_reason = _env_verdict(source, analysis, config)
     return SafetyReport(
         expr=expr,
         compiled=current,
@@ -321,6 +370,10 @@ def _classify(
         rhs = evaluate(after, point_bindings, strict)
         value_safe = _same_value(lhs.value, rhs.value)
         flags_safe = value_safe and lhs.flags == rhs.flags
+        if metrics is not None:
+            metrics.counter("staticfp.pass_value_rule",
+                            rule="point" if value_safe else "unsafe",
+                            **{"pass": pass_.name}).inc()
         reason = (
             "concretely equal at the bound point" if value_safe
             else f"concrete counterexample: {lhs.value!s} vs {rhs.value!s}"
@@ -330,12 +383,266 @@ def _classify(
             flags_safe=flags_safe, reason=reason,
             before=before, after=after,
         )
+    # Each rewritten site must round identically on the bound ranges,
+    # value and flags (the value rules of the module docstring)
+    rules = list(_value_site_rules(before, after, config, before_facts,
+                                   after_facts)) \
+        if config.rounding is STRICT.rounding else ["unsafe"]
+    if metrics is not None:
+        for rule in rules:
+            metrics.counter("staticfp.pass_value_rule",
+                            rule=rule, **{"pass": pass_.name}).inc()
+    if rules and "unsafe" not in rules:
+        return PassVerdict(
+            pass_name=pass_.name, applied=True, value_safe=True,
+            flags_safe=True,
+            reason=f"{_RANGE_PROOF} ({', '.join(sorted(set(rules)))})",
+            before=before, after=after,
+        )
     return PassVerdict(
         pass_name=pass_.name, applied=True, value_safe=False,
         flags_safe=False,
         reason=pass_.description or "rewrite is not value-preserving",
         before=before, after=after,
     )
+
+
+def _value_site_rules(
+    before: Expr,
+    after: Expr,
+    config: MachineConfig,
+    before_facts: Analysis,
+    after_facts: Analysis,
+) -> Iterator[str]:
+    """The value rule of the module docstring that decides each maximal
+    site at which ``after`` differs from ``before``: ``"absorbed"``,
+    ``"overflow"``, ``"infinite-addend"`` or ``"dominant-leaf"`` when
+    the site rounds to the same value with the same flags, else
+    ``"unsafe"``.  Operand pairs below a judged site are judged in
+    turn."""
+    if before is after or before == after:
+        return
+    contraction = _contraction_site(before, after)
+    chain = _rebracketing(before, after, config, before_facts, after_facts)
+    if contraction is not None:
+        product, addend, pairs = contraction
+        yield _contraction_rule(product, addend, config, before_facts) \
+            if _abrupt_free(before, before_facts, config) else "unsafe"
+    elif chain is not None:
+        pairs, rule = chain
+        if rule is not None:
+            yield rule
+    elif before.children() and type(before) is type(after) \
+            and getattr(before, "op", None) == getattr(after, "op", None):
+        pairs = list(zip(before.children(), after.children()))
+    else:
+        yield "unsafe"
+        return
+    for pair in pairs:
+        yield from _value_site_rules(*pair, config, before_facts,
+                                     after_facts)
+
+
+def _contraction_site(
+    before: Expr, after: Expr
+) -> tuple[Binary, Expr, list[tuple[Expr, Expr]]] | None:
+    """When ``after`` contracts ``before`` (``x*y ± z``, either operand
+    order, as the contraction pass builds it): the product node, the
+    addend, and the operand pairs still to be judged; else None."""
+    if not isinstance(after, FMA) or not isinstance(before, Binary) \
+            or before.op not in (BinOp.ADD, BinOp.SUB):
+        return None
+    subtract = before.op is BinOp.SUB
+    for product, addend, left in ((before.left, before.right, True),
+                                  (before.right, before.left, False)):
+        if not (isinstance(product, Binary) and product.op is BinOp.MUL):
+            continue
+        # a*b - c -> fma(a, b, -c) and c - a*b -> fma(-a, b, c)
+        a, c = after.a, after.c
+        negated = c if left else a
+        if subtract:
+            if not (isinstance(negated, Unary) and negated.op is UnOp.NEG):
+                return None
+            a, c = (a, c.operand) if left else (a.operand, c)
+        return product, addend, [(product.left, a), (product.right, after.b),
+                                 (addend, c)]
+    return None
+
+
+def _contraction_rule(
+    product: Binary, addend: Expr, config: MachineConfig, facts: Analysis
+) -> str:
+    """``absorbed``, ``overflow`` or ``infinite-addend`` when ``product
+    ± addend`` rounds like its fused form on the facts' ranges, value
+    and flags, else ``unsafe``."""
+    fact = facts.fact(product)
+    p = fact.value
+    z = facts.fact(addend).value
+    if p.maybe_nan or z.maybe_nan:
+        return "unsafe"
+    if _surely_infinite(addend, facts):
+        # finite + inf and fma(x, y, inf) are exactly inf and raise
+        # nothing; the product's own flags must be raised regardless
+        must = FPFlag.NONE
+        for node in walk_unique(addend):
+            must |= facts.fact(node).must_flags
+        quiet = fact.may_flags & ~must == FPFlag.NONE
+        return "infinite-addend" if quiet and not p.can_inf else "unsafe"
+    if z.lo is None or z.can_inf:
+        return "unsafe"
+    smallest = z.min_magnitude()
+    if not p.can_inf and not smallest.is_zero \
+            and fact.may_flags & ~FPFlag.INEXACT == FPFlag.NONE \
+            and p.max_magnitude().to_fraction() < _ulp(smallest) / 4:
+        return "absorbed"
+    x = facts.fact(product.left).value
+    y = facts.fact(product.right).value
+    if any(v.maybe_nan or v.can_inf or v.lo is None for v in (x, y)):
+        return "unsafe"
+    least = x.min_magnitude().to_fraction() * y.min_magnitude().to_fraction()
+    if least - z.max_magnitude().to_fraction() \
+            >= _overflow_threshold(config.fmt):
+        return "overflow"
+    return "unsafe"
+
+
+def _surely_infinite(node: Expr, facts: Analysis) -> bool:
+    """Is every admitted value of ``node`` an infinity (under RNE,
+    where an overflow always delivers one)?"""
+    fact = facts.fact(node)
+    value = fact.value
+    if value.maybe_nan or value.can_zero or value.lo is None:
+        return False
+    if value.lo.is_inf and value.lo.same_bits(value.hi):
+        return True
+    if fact.op in ("neg", "abs"):
+        return _surely_infinite(node.operand, facts)
+    return bool(fact.must_flags & FPFlag.OVERFLOW)
+
+
+def _rebracketing(
+    before: Expr,
+    after: Expr,
+    config: MachineConfig,
+    before_facts: Analysis,
+    after_facts: Analysis,
+) -> tuple[list[tuple[Expr, Expr]], str | None] | None:
+    """When ``after`` only re-brackets the ``+``/``-`` chain at
+    ``before`` (every leaf kept, in order, subtracted ones negated):
+    the leaf pairs still to be judged, and the ``dominant-leaf`` rule's
+    verdict when the bracketing changed (None when it did not).  None
+    when the rewrite is not a re-bracketing."""
+    if not (isinstance(after, Binary) and after.op is BinOp.ADD
+            and isinstance(before, Binary)
+            and before.op in (BinOp.ADD, BinOp.SUB)):
+        return None
+    leaves: list[tuple[Expr, bool]] = []
+    sums: list[tuple[Expr, int, int]] = []
+    shape = _sum_chain(before, leaves, sums, source=True)
+    new_leaves: list[tuple[Expr, bool]] = []
+    new_sums: list[tuple[Expr, int, int]] = []
+    new_shape = _sum_chain(after, new_leaves, new_sums, source=False)
+    if len(leaves) != len(new_leaves):
+        return None  # negated pairs were dropped
+    pairs = []
+    for (leaf, negated), (new, _) in zip(leaves, new_leaves):
+        if negated:
+            if not (isinstance(new, Unary) and new.op is UnOp.NEG):
+                return None
+            new = new.operand
+        pairs.append((leaf, new))
+    if shape == new_shape:
+        return pairs, None
+    safe = _abrupt_free(before, before_facts, config) and _dominant_leaf(
+        leaves, sums, new_sums, config, before_facts, after_facts)
+    return pairs, "dominant-leaf" if safe else "unsafe"
+
+
+def _sum_chain(
+    expr: Expr,
+    leaves: list[tuple[Expr, bool]],
+    sums: list[tuple[Expr, int, int]],
+    *,
+    source: bool,
+):
+    """Flatten the ``+`` chain at ``expr`` (with ``source``, ``a - b``
+    joins it as ``a + (-b)``): appends ``(leaf, negated)`` per leaf in
+    order and ``(node, first, end)`` per addition, the leaf indices it
+    sums; returns the bracketing as nested pairs of leaf indices."""
+    op = expr.op if isinstance(expr, Binary) else None
+    if op is BinOp.ADD or source and op is BinOp.SUB:
+        first = len(leaves)
+        left = _sum_chain(expr.left, leaves, sums, source=source)
+        if op is BinOp.SUB:
+            leaves.append((expr.right, True))
+            right = len(leaves) - 1
+        else:
+            right = _sum_chain(expr.right, leaves, sums, source=source)
+        sums.append((expr, first, len(leaves)))
+        return left, right
+    leaves.append((expr, False))
+    return len(leaves) - 1
+
+
+def _dominant_leaf(
+    leaves: list[tuple[Expr, bool]],
+    sums: list[tuple[Expr, int, int]],
+    new_sums: list[tuple[Expr, int, int]],
+    config: MachineConfig,
+    before_facts: Analysis,
+    after_facts: Analysis,
+) -> bool:
+    """Does one leaf absorb every sum of the others, in any bracketing,
+    with the same flags (the ``dominant-leaf`` rule)?"""
+    ranges = []
+    for leaf, negated in leaves:
+        value = before_facts.fact(leaf).value
+        if value.maybe_nan or value.can_inf or value.lo is None \
+                or value.min_magnitude().is_zero:
+            return False  # a leaf that may be zero, inf or NaN
+        ranges.append((value, value.lo.is_negative != negated))
+    dominant = max(range(len(ranges)),
+                   key=lambda i: ranges[i][0].min_magnitude().to_fraction())
+    others = [r for i, r in enumerate(ranges) if i != dominant]
+    if len({negative for _, negative in others}) != 1:
+        return False  # the small leaves could cancel
+    # each rounding of a partial sum grows it by at most a factor
+    # 1 + 2^-p (a subnormal sum is exact), and a partial sum of k
+    # leaves is rounded at most k - 1 times
+    growth = (1 + Fraction(1, 1 << config.fmt.precision)) ** (len(others) - 1)
+    bound = sum(v.max_magnitude().to_fraction() for v, _ in others) * growth
+    if bound >= _ulp(ranges[dominant][0].min_magnitude()) / 4:
+        return False
+    return all(
+        facts.fact(node).may_flags & ~FPFlag.INEXACT == FPFlag.NONE
+        for facts, chain in ((before_facts, sums), (after_facts, new_sums))
+        for node, first, end in chain
+        if not first <= dominant < end
+    )
+
+
+def _abrupt_free(node: Expr, facts: Analysis, config: MachineConfig) -> bool:
+    """Under FTZ or DAZ, can no node of ``node``'s tree produce or read
+    a subnormal, so strict and configured evaluation agree on it?"""
+    if not (config.ftz or config.daz):
+        return True
+    tiny = FPFlag.UNDERFLOW | FPFlag.DENORMAL_RESULT
+    for child in walk_unique(node):
+        fact = facts.fact(child)
+        if fact.value.can_subnormal or fact.may_flags & tiny:
+            return False
+    return True
+
+
+def _ulp(value: SoftFloat) -> Fraction:
+    """The unit in the last place of a finite ``value``."""
+    return Fraction(2) ** value.significand_value()[1]
+
+
+def _overflow_threshold(fmt: FloatFormat) -> Fraction:
+    """The smallest magnitude RNE rounds to infinity: ``max_finite``
+    plus half its ulp."""
+    return (2 - Fraction(1, 1 << fmt.precision)) * Fraction(2) ** fmt.emax
 
 
 def _site_rules(
@@ -454,22 +761,29 @@ def _canonical_subs(expr: Expr) -> Expr:
 
 
 def _env_verdict(
-    analysis: Analysis, config: MachineConfig
+    source: Analysis, analysis: Analysis, config: MachineConfig
 ) -> tuple[bool, bool, str]:
     """Does the configured *environment* (not the rewrites) preserve
-    strict results for the compiled expression on these ranges?
+    strict results for the compiled expression (``analysis``) of the
+    source (``source``) on these ranges?
 
     FTZ/DAZ only bite when subnormals are reachable; the abstract
-    verdicts decide that statically.
+    verdicts decide that statically.  DAZ is judged on every leaf of
+    both trees, literals included: a pass that folds a subnormal
+    literal reads it as zero, while strict evaluation of the source
+    does not.
     """
     if config.rounding is not STRICT.rounding:
         return False, False, f"non-default rounding {config.rounding.name}"
     reasons = []
     if config.daz:
+        leaves = {
+            id(node): facts.fact(node)
+            for facts in (source, analysis) for node in facts.order
+            if facts.fact(node).op in ("var", "const")
+        }
         subnormal_inputs = any(
-            analysis.fact(node).value.can_subnormal
-            for node in analysis.order
-            if analysis.fact(node).op == "var"
+            fact.value.can_subnormal for fact in leaves.values()
         )
         if subnormal_inputs:
             reasons.append("DAZ with subnormal-possible inputs")

@@ -16,11 +16,13 @@ coverage).
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from repro.fpenv.env import FPEnv
+from repro.fpenv.flags import FPFlag
 from repro.fpenv.rounding import RoundingMode
 from repro.optsim.ast import (
     FMA,
@@ -43,7 +45,11 @@ from repro.softfloat import (
     fp_lt,
     parse_softfloat,
 )
+from repro.softfloat.directed import probe_op
+from repro.softfloat.formats import TINY8
+from repro.softfloat.value import SoftFloat
 from repro.staticfp import AbstractValue, analyze
+from repro.staticfp.domain import AnalysisContext, transfer
 from tests.strategies import forall_seeds
 
 FORMATS = [BINARY16, BINARY32, BINARY64]
@@ -195,3 +201,77 @@ class TestRegressions:
         result = evaluate(expr, points, config)
         assert analysis.root.value.admits(result.value)
         assert not result.flags & ~analysis.may_flags
+
+
+class TestOverflowMustFlags:
+    """When every corner probe overflows (the one rounding toward zero
+    included) and the corners share one sign, every admitted result
+    overflows: OVERFLOW|INEXACT are must-flags."""
+
+    def test_overflow_on_every_corner_is_a_must_flag(self):
+        expr = Binary(BinOp.MUL, Var("a"), Var("b"))
+        analysis = analyze(expr, {"a": ("1e200", "1e300"),
+                                  "b": ("-1e300", "-1e200")})
+        assert analysis.root.must_flags \
+            == FPFlag.OVERFLOW | FPFlag.INEXACT
+        for a, b in (("1e200", "-1e200"), ("3e250", "-7e233"),
+                     ("1e300", "-1e300")):
+            result = evaluate(expr, {"a": parse_softfloat(a, BINARY64,
+                                                          FPEnv()),
+                                     "b": parse_softfloat(b, BINARY64,
+                                                          FPEnv())},
+                              STRICT)
+            assert not analysis.root.must_flags & ~result.flags
+
+    def test_corners_of_both_signs_make_no_must_flag(self):
+        """``[-4, 4]`` (no zero member) times a huge range overflows at
+        every corner, but not at ``1e-300`` inside."""
+        fmt = BINARY64
+        env = FPEnv()
+        wide = AbstractValue(fmt, parse_softfloat("-4", fmt, env),
+                             parse_softfloat("4", fmt, env))
+        expr = Binary(BinOp.MUL, Var("a"), Var("b"))
+        analysis = analyze(expr, {"a": wide, "b": ("1e308", "1.7e308")})
+        assert analysis.root.must_flags == FPFlag.NONE
+
+    def test_nan_inputs_make_no_must_flag(self):
+        expr = Binary(BinOp.MUL, Var("a"), Var("a"))
+        fmt = BINARY64
+        env = FPEnv()
+        maybe_nan = AbstractValue.from_range(
+            parse_softfloat("1e200", fmt, env),
+            parse_softfloat("1e300", fmt, env), maybe_nan=True)
+        analysis = analyze(expr, {"a": maybe_nan})
+        assert analysis.root.must_flags == FPFlag.NONE
+
+    @pytest.mark.parametrize("cell", range(20))
+    def test_tiny8_overflow_must_flags_hold(self, cell):
+        """Every seeded pair (or triple, for fma) of small TINY8 ranges
+        whose transfer promises OVERFLOW overflows on every admitted
+        binding, in each (rounding mode, FTZ, DAZ) cell."""
+        modes = list(RoundingMode)
+        ctx = AnalysisContext(fmt=TINY8, rounding=modes[cell // 4],
+                              ftz=bool(cell & 2), daz=bool(cell & 1))
+        values = [SoftFloat(TINY8, bits) for bits in range(64)
+                  if not SoftFloat(TINY8, bits).is_nan]
+        values.sort(key=lambda v: (v.to_float(), not v.is_negative))
+        rng = random.Random(f"overflow-must/{cell}")
+        promised = 0
+        for _ in range(400):
+            op = rng.choice(("add", "sub", "mul", "div", "fma"))
+            sides = []
+            for _ in range(3 if op == "fma" else 2):
+                lo = rng.randrange(len(values))
+                hi = min(len(values) - 1, lo + rng.choice((0, 1, 2, 4)))
+                sides.append(AbstractValue.from_range(values[lo],
+                                                      values[hi]))
+            result = transfer(op, tuple(sides), ctx)
+            if not result.must & FPFlag.OVERFLOW:
+                continue
+            promised += 1
+            members = [[v for v in values if side.admits(v)]
+                       for side in sides]
+            for operands in itertools.product(*members):
+                _, flags = probe_op(op, *operands, env=ctx.concrete_env())
+                assert not result.must & ~flags, (op, operands, ctx)
+        assert promised
