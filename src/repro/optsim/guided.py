@@ -13,12 +13,18 @@ never lands inside the region where an optimization's hazard can fire.
 This module adds the two strategies that close that gap:
 
 - :func:`guided_search` samples from the *feasible divergence regions*
-  :func:`repro.staticfp.regions.divergence_goals` derives by backward
-  refinement from the abstract analysis — corner-lattice probes first,
-  then per-goal region sampling steered by an exception-flow coverage
-  map (:class:`FlowCoverage`, in the spirit of FlowFPX's flag-flow
-  tracking: which statically-possible per-node flags has the search
-  actually exercised on each side?).
+  :func:`repro.staticfp.regions.goal_stream` derives by backward
+  refinement from the abstract analysis — built tie candidates first,
+  then corner-lattice probes, then per-goal region sampling steered by
+  an exception-flow coverage map (:class:`FlowCoverage`, in the spirit
+  of FlowFPX's flag-flow tracking: which statically-possible per-node
+  flags has the search actually exercised on each side?).  Goals are
+  drawn from the stream only as the tiers reach them: the built tier
+  needs the tie goals alone, the lattice tier takes one goal after the
+  admitted-range lattice at a time, and only the sampling tier needs
+  them all.  A search that ends early derives fewer goals; a capped one
+  derives every goal.  With telemetry on, each search observes how
+  many goals it derived in ``optsim.search_goals{stage=derived}``.
 
 - :func:`exhaustive_sweep` enumerates *every* admitted operand
   combination for small formats (TINY8, binary16 with few variables),
@@ -36,8 +42,8 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from collections.abc import Mapping, Sequence
-from itertools import islice
+from collections.abc import Iterable, Mapping, Sequence
+from itertools import chain, islice
 
 from repro.fpenv.flags import FPFlag
 from repro.optsim.ast import Expr, expr_variables
@@ -179,7 +185,7 @@ class FlowCoverage:
 def _candidate_stream(
     names: Sequence[str],
     base: Mapping[str, "object"],
-    goals: Sequence["object"],
+    goals: Iterable["object"],
     coverage: FlowCoverage,
     rng: random.Random,
     extra: Sequence[Mapping[str, SoftFloat]],
@@ -187,7 +193,13 @@ def _candidate_stream(
     """Yield candidate bindings: explicit extras, then the goals' built
     candidates, then per-goal lattice combinations, then
     coverage-prioritized region sampling with a periodic unbiased draw
-    from the admitted base regions."""
+    from the admitted base regions.
+
+    ``goals`` is a tuple or a :class:`~repro.staticfp.regions.GoalStream`;
+    the stream is drawn from only as far as the tiers reach, so a
+    search that ends in the base lattice derives no goal."""
+    from repro.staticfp.regions import GoalStream
+
     fmt = next(iter(base.values())).fmt if base else None
 
     def build(bits_by_name: Mapping[str, int]) -> dict[str, SoftFloat]:
@@ -211,7 +223,9 @@ def _candidate_stream(
     # Built tier: bindings a goal constructed, completed with each
     # missing variable's first lattice point.
     seen: set[tuple[int, ...]] = set()
-    for goal in goals:
+    built_goals = goals.built() if isinstance(goals, GoalStream) \
+        else [goal for goal in goals if goal.candidates]
+    for goal in built_goals:
         for built in goal.candidates:
             bits = dict(built)
             combo = tuple(
@@ -223,9 +237,12 @@ def _candidate_stream(
                 seen.add(combo)
                 yield build(dict(zip(names, combo))), goal.name
 
-    # Lattice tier: the deterministic probe points of every goal.
-    goal_list = [("base", {})] + [(g.name, g.region_map()) for g in goals]
-    for goal_name, regions in goal_list:
+    # Lattice tier: the deterministic probe points of every goal, each
+    # goal drawn from the stream when its turn comes.
+    goal_list: list[tuple[str, Mapping]] = []
+    for goal_name, regions in chain(
+            [("base", {})], ((g.name, g.region_map()) for g in goals)):
+        goal_list.append((goal_name, regions))
         lattices = [
             regions.get(name, base[name]).lattice_points() for name in names
         ]
@@ -296,7 +313,11 @@ def guided_search(
     result carries the coverage map and the witness's goal.
     ``analysis`` (of ``expr`` under ``config``) is reused, not redone.
     """
-    from repro.staticfp.regions import divergence_goals, variable_regions
+    from repro.staticfp.regions import (
+        GoalStream,
+        goal_stream,
+        variable_regions,
+    )
 
     names = sorted(
         set(expr_variables(expr)) | set(expr_variables(optimized))
@@ -308,7 +329,7 @@ def guided_search(
 
             base[name] = BitRegion.full(config.fmt)
     if goals is None:
-        goals = divergence_goals(
+        goals = goal_stream(
             expr, config, bindings, safety=safety, analysis=analysis
         )
     coverage = FlowCoverage.for_search(
@@ -358,6 +379,10 @@ def guided_search(
     finally:
         if stream is not None:
             stream.unsubscribe(coverage.sink)
+            if isinstance(goals, GoalStream):
+                telemetry.metrics.log_histogram(
+                    "optsim.search_goals", stage="derived"
+                ).observe(len(goals.derived))
     return dataclasses.replace(result, coverage=coverage)
 
 
