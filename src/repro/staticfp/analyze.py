@@ -231,12 +231,17 @@ def reuse_analysis(
     bindings: Mapping[str, object] | None,
     config: MachineConfig,
 ) -> Analysis:
-    """``analysis`` if it was computed for this very tree object under
-    ``config`` (facts are keyed on node identity, so never reuse by tree
-    equality; the caller vouches for ``bindings``), else :func:`analyze`.
+    """``analysis`` if it was computed for this very tree object under a
+    config with ``config``'s analysis context, else :func:`analyze`.
+
+    Facts are keyed on node identity, so never reuse by tree equality;
+    the caller vouches for ``bindings``.  The facts depend on a config
+    only through its :class:`AnalysisContext` (format, rounding, FTZ,
+    DAZ), so an analysis under ``-O3`` serves a strict question too; it
+    keeps naming the config it was computed under.
     """
     if analysis is not None and analysis.expr is expr \
-            and analysis.config == config:
+            and analysis.context == AnalysisContext.from_config(config):
         return analysis
     return analyze(expr, bindings, config)
 

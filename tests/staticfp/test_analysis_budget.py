@@ -115,6 +115,19 @@ def test_a_lint_without_search_analyzes_once(level, analyze_calls):
         assert len(analyze_calls) == 1, entry.key
 
 
+def test_a_witnessed_o3_lint_analyzes_once(analyze_calls):
+    """At -O3 the strict side of the coverage map asks the lint's own
+    question: -O3's analysis context (format, rounding, FTZ, DAZ) is
+    strict's, so its facts are reused."""
+    from repro.optsim.machine import optimization_level
+
+    entry = next(e for e in ENTRIES if e.key == "madd")
+    report = lint(parse_expr(entry.expr), optimization_level("-O3"),
+                  entry.binding_map(), witness=True)
+    assert report.witness_report.outcome == "witnessed"
+    assert len(analyze_calls) == 1
+
+
 @pytest.mark.parametrize("level", ["strict", "-O3", "--ffast-math"])
 def test_extended_analysis_equals_a_fresh_one(level):
     """Each compiled form's analysis, extended from the source's, holds
