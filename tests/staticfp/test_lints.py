@@ -92,6 +92,21 @@ class TestRuleBehavior:
         diags = report.by_id("madd")
         assert any(d.severity == "warning" for d in diags)
 
+    def test_madd_info_when_the_contraction_is_proved_on_the_ranges(self):
+        bindings = {"a": ("1e-20", "2e-20"), "b": ("1", "2"),
+                    "c": ("1", "2")}
+        report = lint("a*b + c", optimization_level("-O3"), bindings)
+        (contraction,) = [v for v in report.safety.applied
+                          if v.pass_name == "fma-contraction"]
+        assert contraction.proved_on_ranges
+        (diag,) = report.by_id("madd")
+        assert diag.severity == "info"
+        assert "rounds identically on the bound ranges" in diag.message
+        # the tie ranges the contraction cannot be proved on still warn
+        bindings["b"] = ("1", "1e20")
+        report = lint("a*b + c", optimization_level("-O3"), bindings)
+        assert [d.severity for d in report.by_id("madd")] == ["warning"]
+
     def test_flush_to_zero_info_at_strict(self):
         report = lint(
             "a - b", STRICT,
