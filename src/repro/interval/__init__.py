@@ -9,7 +9,12 @@ quiz asks about, delivered per-value instead of per-run.
 
 This is also the natural consumer of the directed rounding modes the
 softfloat engine implements (most developers never touch them — one
-more thing the survey suggests they couldn't describe).
+more thing the survey suggests they couldn't describe).  ``Interval``
+is a thin layer over the static analyzer's interval domain
+(:mod:`repro.staticfp.domain`) with two conventions of its own:
+``0 * inf`` is ``0`` inside a product, and division by a
+zero-containing interval or the square root of a sign-crossing one
+raises :class:`IntervalError` instead of widening.
 
 >>> from repro.interval import Interval
 >>> x = Interval.from_value(0.1)      # the double nearest 0.1, exactly

@@ -7,10 +7,19 @@ the fundamental containment theorem holds::
 
     x in X and y in Y  =>  x op y in (X op Y)
 
-NaN endpoints are rejected (intervals model real quantities); division
-by an interval containing zero and even-roots of sign-crossing
-intervals raise :class:`IntervalError` rather than silently widening to
-the whole line.
+``*`` and ``/`` take their candidates from the corner probe of the
+static analyzer's domain (:mod:`repro.staticfp.domain`), and ``abs``,
+``hull``, ``intersect`` and ``from_decimal`` are its transfer, join,
+meet and literal abstraction; the monotone ``+``, ``-`` and ``sqrt``
+round just the two endpoints that bound them.  That domain models
+machine values; intervals model reals, hence two conventions:
+
+- ``0 * inf`` is ``0`` inside a product (the zero endpoint dominates;
+  IEEE 754 would say NaN), and an ``inf / inf`` quotient corner is
+  dropped, since the other corners bound the reals it stands for.
+- NaN endpoints are rejected, so division by an interval containing
+  zero and the square root of a sign-crossing interval raise
+  :class:`IntervalError` rather than widening to the whole line.
 """
 
 from __future__ import annotations
@@ -20,13 +29,12 @@ from fractions import Fraction
 
 from repro.errors import ReproError
 from repro.fpenv.env import FPEnv
+from repro.fpenv.flags import FPFlag
 from repro.softfloat import (
     BINARY64,
     SoftFloat,
     fp_add,
-    fp_div,
     fp_le,
-    fp_lt,
     fp_mul,
     fp_sqrt,
     fp_sub,
@@ -34,20 +42,20 @@ from repro.softfloat import (
 )
 from repro.softfloat.directed import down_env, up_env
 from repro.softfloat.formats import FloatFormat
+from repro.staticfp.domain import (
+    AbstractValue,
+    AnalysisContext,
+    _max_sf,
+    _min_sf,
+    _probe_corners,
+    _transfer_abs,
+)
 
 __all__ = ["Interval", "IntervalError"]
 
 
 class IntervalError(ReproError, ValueError):
     """Ill-formed interval or undefined interval operation."""
-
-
-def _down(fmt: FloatFormat) -> FPEnv:
-    return down_env()
-
-
-def _up(fmt: FloatFormat) -> FPEnv:
-    return up_env()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,11 +92,10 @@ class Interval:
     ) -> "Interval":
         """Tightest interval enclosing a decimal literal (the two
         correctly rounded directed conversions)."""
-        from repro.softfloat.parse import parse_softfloat
-
-        lo = parse_softfloat(text, fmt, _down(fmt))
-        hi = parse_softfloat(text, fmt, _up(fmt))
-        return cls(lo, hi)
+        value = AbstractValue.from_literal(text, fmt)
+        if value.lo is None:
+            raise IntervalError(f"NaN endpoint: {text!r}")
+        return cls(value.lo, value.hi)
 
     @classmethod
     def from_bounds(
@@ -137,7 +144,7 @@ class Interval:
 
     def width(self) -> SoftFloat:
         """Upper-rounded endpoint difference."""
-        return fp_sub(self.hi, self.lo, _up(self.fmt))
+        return fp_sub(self.hi, self.lo, up_env())
 
     def width_ulps(self) -> float:
         """Width in units of the last place at the interval's magnitude
@@ -170,15 +177,15 @@ class Interval:
     def __add__(self, other: "Interval") -> "Interval":
         other = self._coerce(other)
         return Interval(
-            fp_add(self.lo, other.lo, _down(self.fmt)),
-            fp_add(self.hi, other.hi, _up(self.fmt)),
+            fp_add(self.lo, other.lo, down_env()),
+            fp_add(self.hi, other.hi, up_env()),
         )
 
     def __sub__(self, other: "Interval") -> "Interval":
         other = self._coerce(other)
         return Interval(
-            fp_sub(self.lo, other.hi, _down(self.fmt)),
-            fp_sub(self.hi, other.lo, _up(self.fmt)),
+            fp_sub(self.lo, other.hi, down_env()),
+            fp_sub(self.hi, other.lo, up_env()),
         )
 
     def __neg__(self) -> "Interval":
@@ -186,64 +193,47 @@ class Interval:
 
     def __mul__(self, other: "Interval") -> "Interval":
         other = self._coerce(other)
-        down, up = _down(self.fmt), _up(self.fmt)
-        los = []
-        his = []
-        for a in (self.lo, self.hi):
-            for b in (other.lo, other.hi):
-                los.append(self._mul_endpoint(a, b, down))
-                his.append(self._mul_endpoint(a, b, up))
-        return Interval(self._min(los), self._max(his))
+        candidates, flags = self._corners("mul", other)
+        if flags & FPFlag.INVALID:  # a 0 * inf corner: 0 by convention
+            candidates.append(SoftFloat.zero(self.fmt))
+        return Interval(_min_sf(candidates), _max_sf(candidates))
 
     def __truediv__(self, other: "Interval") -> "Interval":
         other = self._coerce(other)
-        zero = SoftFloat.zero(self.fmt)
-        if other.contains(zero):
+        if other.contains(SoftFloat.zero(self.fmt)):
             raise IntervalError(
                 f"division by an interval containing zero: {other}"
             )
-        down, up = _down(self.fmt), _up(self.fmt)
-        los = []
-        his = []
-        for a in (self.lo, self.hi):
-            for b in (other.lo, other.hi):
-                los.append(fp_div(a, b, down))
-                his.append(fp_div(a, b, up))
-        return Interval(self._min(los), self._max(his))
+        candidates, _ = self._corners("div", other)  # inf/inf dropped
+        if not candidates:
+            raise IntervalError(f"no defined quotient: {self} / {other}")
+        return Interval(_min_sf(candidates), _max_sf(candidates))
 
     def sqrt(self) -> "Interval":
         """Interval square root (requires a non-negative interval)."""
         if self.lo.is_negative and not self.lo.is_zero:
             raise IntervalError(f"sqrt of sign-crossing interval {self}")
         return Interval(
-            fp_sqrt(self.lo, _down(self.fmt)),
-            fp_sqrt(self.hi, _up(self.fmt)),
+            fp_sqrt(self.lo, down_env()),
+            fp_sqrt(self.hi, up_env()),
         )
 
     def abs(self) -> "Interval":
         """Interval absolute value."""
-        zero = SoftFloat.zero(self.fmt)
-        if self.contains(zero):
-            return Interval(zero, self._max([abs(self.lo), abs(self.hi)]))
-        if self.hi.is_negative or self.hi.is_zero:
-            return Interval(abs(self.hi), abs(self.lo))
-        return self
+        return self._interval(_transfer_abs(self._abstract()).value)
 
     def hull(self, other: "Interval") -> "Interval":
         """Smallest interval containing both."""
         other = self._coerce(other)
-        return Interval(
-            self._min([self.lo, other.lo]), self._max([self.hi, other.hi])
-        )
+        return self._interval(self._abstract().join(other._abstract()))
 
     def intersect(self, other: "Interval") -> "Interval":
         """Intersection; raises IntervalError when disjoint."""
         other = self._coerce(other)
-        lo = self._max([self.lo, other.lo])
-        hi = self._min([self.hi, other.hi])
-        if fp_lt(hi, lo, FPEnv()):
+        met = self._abstract().meet(other._abstract())
+        if met is None:
             raise IntervalError(f"disjoint intervals {self} and {other}")
-        return Interval(lo, hi)
+        return self._interval(met)
 
     # ------------------------------------------------------------------
     # Helpers
@@ -255,30 +245,22 @@ class Interval:
             return other
         return Interval.from_value(other, self.fmt)  # type: ignore[arg-type]
 
-    def _mul_endpoint(self, a: SoftFloat, b: SoftFloat, env: FPEnv):
-        # inf * 0 inside interval multiplication is conventionally 0
-        # (the zero endpoint dominates; IEEE would say NaN).
-        if (a.is_inf and b.is_zero) or (a.is_zero and b.is_inf):
-            return SoftFloat.zero(self.fmt)
-        return fp_mul(a, b, env)
+    def _corners(
+        self, op: str, other: "Interval"
+    ) -> tuple[list[SoftFloat], FPFlag]:
+        """Non-NaN results of ``op`` on every endpoint pair under both
+        directed roundings, and the flags the probes raised."""
+        return _probe_corners(
+            op, [[self.lo, self.hi], [other.lo, other.hi]],
+            AnalysisContext(self.fmt),
+        )[:2]
+
+    def _abstract(self) -> AbstractValue:
+        return AbstractValue.from_range(self.lo, self.hi)
 
     @staticmethod
-    def _min(values):
-        best = values[0]
-        env = FPEnv()
-        for candidate in values[1:]:
-            if fp_lt(candidate, best, env):
-                best = candidate
-        return best
-
-    @staticmethod
-    def _max(values):
-        best = values[0]
-        env = FPEnv()
-        for candidate in values[1:]:
-            if fp_lt(best, candidate, env):
-                best = candidate
-        return best
+    def _interval(value: AbstractValue) -> "Interval":
+        return Interval(value.lo, value.hi)
 
     __radd__ = __add__
     __rmul__ = __mul__

@@ -26,7 +26,14 @@ Design notes on the three places naive corner evaluation would be
   predicates (does the result hull intersect the subnormal band?) on
   top of whatever the corner probes raised.
 - Division by a zero-containing interval widens (with sign
-  refinement) instead of raising, unlike :class:`repro.interval.Interval`.
+  refinement) instead of raising.
+
+:func:`_probe_corners` is the one outward-rounded corner probe: the
+forward transfers here, the backward refinement in
+:mod:`repro.staticfp.regions` and the ``*`` and ``/`` of
+:class:`repro.interval.Interval` all take their hull candidates from
+it.  ``Interval`` keeps its own conventions on top (``0 * inf`` is
+``0``, and division by a zero-containing interval raises).
 """
 
 from __future__ import annotations
@@ -309,6 +316,29 @@ class AbstractValue:
             maybe_snan=self.maybe_snan or other.maybe_snan,
             pos_zero=self.pos_zero or other.pos_zero,
             neg_zero=self.neg_zero or other.neg_zero,
+        )
+
+    def meet(self, other: "AbstractValue") -> "AbstractValue | None":
+        """Set intersection (``None`` when the two admit no common
+        value)."""
+        a = _materialize_zeros(self)
+        b = _materialize_zeros(other)
+        lo = hi = None
+        if a.lo is not None and b.lo is not None:
+            lo = _max_sf([a.lo, b.lo])
+            hi = _min_sf([a.hi, b.hi])
+            if _lt(hi, lo):
+                lo = hi = None
+        pos_zero = a.pos_zero and b.pos_zero
+        neg_zero = a.neg_zero and b.neg_zero
+        maybe_nan = a.maybe_nan and b.maybe_nan
+        maybe_snan = a.maybe_snan and b.maybe_snan
+        if lo is None and not (pos_zero or neg_zero or maybe_nan):
+            return None
+        return AbstractValue(
+            a.fmt, lo, hi,
+            maybe_nan=maybe_nan or maybe_snan, maybe_snan=maybe_snan,
+            pos_zero=pos_zero, neg_zero=neg_zero,
         )
 
     def corner_points(self) -> list[SoftFloat]:

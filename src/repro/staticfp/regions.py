@@ -65,11 +65,13 @@ from repro.staticfp.analyze import (
 )
 from repro.staticfp.domain import (
     AbstractValue,
+    AnalysisContext,
     _le,
     _lt,
     _materialize_zeros,
     _max_sf,
     _min_sf,
+    _probe_corners,
     _transfer_neg,
 )
 
@@ -350,19 +352,10 @@ def _widen_outward(
 def _hull_from_probes(
     op: str, point_sets: list[list[SoftFloat]]
 ) -> tuple[SoftFloat, SoftFloat] | None:
-    """Probe ``op`` over every corner combination under both directed
-    roundings; the non-NaN extremes are the inverted hull."""
-    from repro.softfloat.directed import down_env, up_env
-
-    combos: list[tuple[SoftFloat, ...]] = [()]
-    for pts in point_sets:
-        combos = [c + (p,) for c in combos for p in pts]
-    results: list[SoftFloat] = []
-    for combo in combos:
-        for env in (down_env(), up_env()):
-            r, _ = probe_op(op, *combo, env=env)
-            if not r.is_nan:
-                results.append(r)
+    """The non-NaN extremes of ``op`` probed over every corner
+    combination under both directed roundings: the inverted hull."""
+    ctx = AnalysisContext(point_sets[0][0].fmt)
+    results, _, _ = _probe_corners(op, point_sets, ctx)
     if not results:
         return None
     return _min_sf(results), _max_sf(results)
@@ -464,35 +457,6 @@ def _inverse_operand(
     return None  # min/max/rem and anything else: forward value only
 
 
-def _intersect_abstract(
-    a: AbstractValue, b: AbstractValue
-) -> AbstractValue | None:
-    """Set intersection of two abstractions (``None`` when empty)."""
-    a = _materialize_zeros(a)
-    b = _materialize_zeros(b)
-    lo = hi = None
-    if a.lo is not None and b.lo is not None:
-        lo = _max_sf([a.lo, b.lo])
-        hi = _min_sf([a.hi, b.hi])
-        if _lt(hi, lo):
-            lo = hi = None
-    pos_zero = a.pos_zero and b.pos_zero
-    neg_zero = a.neg_zero and b.neg_zero
-    maybe_nan = a.maybe_nan and b.maybe_nan
-    maybe_snan = a.maybe_snan and b.maybe_snan
-    if lo is None and not (pos_zero or neg_zero or maybe_nan):
-        return None
-    if lo is not None:
-        zero = SoftFloat.zero(a.fmt)
-        spans = _le(lo, zero) and _le(zero, hi)
-        pos_zero = pos_zero or (spans and a.pos_zero and b.pos_zero)
-    return AbstractValue(
-        a.fmt, lo, hi,
-        maybe_nan=maybe_nan or maybe_snan, maybe_snan=maybe_snan,
-        pos_zero=pos_zero, neg_zero=neg_zero,
-    )
-
-
 def refine_toward(
     analysis: Analysis, node: Expr, desired: AbstractValue
 ) -> dict[str, AbstractValue]:
@@ -508,7 +472,7 @@ def refine_toward(
 
     def walk(node: Expr, desired: AbstractValue) -> None:
         fact = analysis.fact(node)
-        met = _intersect_abstract(desired, fact.value)
+        met = desired.meet(fact.value)
         if met is None:
             met = fact.value
         if isinstance(node, Var):
@@ -516,7 +480,7 @@ def refine_toward(
             if prev is None:
                 out[node.name] = met
             else:
-                both = _intersect_abstract(prev, met)
+                both = prev.meet(met)
                 if both is not None:
                     out[node.name] = both
             return
@@ -1056,7 +1020,7 @@ def _invalid_preconditions(
             if prev is None:
                 out[name] = value
             else:
-                both = _intersect_abstract(prev, value)
+                both = prev.meet(value)
                 if both is not None:
                     out[name] = both
 

@@ -139,6 +139,45 @@ class TestOutwardRounding:
             Fraction(1, 10**17)
 
 
+
+INF = float("inf")
+
+
+class TestConventions:
+    """Where intervals of reals part from IEEE 754 machine values."""
+
+    def test_zero_times_infinity_is_zero(self):
+        x = Interval.from_value(0.0) * Interval.from_value(INF)
+        assert x.lo.is_zero and x.hi.is_zero
+
+    def test_zero_corner_of_a_product_contributes_zero(self):
+        x = Interval.from_bounds(-1e-300, -0.0) * Interval.from_value(INF)
+        assert x.lo.is_inf and x.lo.sign
+        assert x.hi.is_zero
+
+    @pytest.mark.parametrize("num,den", [
+        ((1.0, INF), (2.0, INF)),
+        ((-INF, -1.0), (-INF, -2.0)),
+    ])
+    def test_infinite_quotient_corner_is_dropped(self, num, den):
+        x = Interval.from_bounds(*num) / Interval.from_bounds(*den)
+        assert x.lo.is_zero
+        assert x.hi.is_inf and not x.hi.sign
+
+    def test_quotient_with_only_infinite_corners_raises(self):
+        with pytest.raises(IntervalError):
+            Interval.from_value(INF) / Interval.from_value(INF)
+
+    def test_infinite_sum_corner_still_raises(self):
+        with pytest.raises(IntervalError):
+            Interval.from_value(INF) + Interval.from_bounds(-INF, 1.0)
+
+    def test_zero_endpoints_lean_outward(self):
+        """A lower zero endpoint prefers -0 and an upper one +0."""
+        x = Interval.from_bounds(0.0, 1.0) * Interval.from_bounds(-1.0, 0.0)
+        assert str(x) == "[-1.0, 0.0]"
+
+
 finite = st.floats(
     allow_nan=False, allow_infinity=False, allow_subnormal=True, width=64
 )
