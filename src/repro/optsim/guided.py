@@ -42,8 +42,9 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from itertools import chain, islice
+from typing import TYPE_CHECKING
 
 from repro.fpenv.flags import FPFlag
 from repro.optsim.ast import Expr, expr_variables
@@ -52,6 +53,9 @@ from repro.optsim.machine import STRICT, MachineConfig
 from repro.softfloat import SoftFloat
 from repro.telemetry import get_telemetry
 from repro.telemetry.events import flag_labels
+
+if TYPE_CHECKING:
+    from repro.staticfp.regions import GoalStream
 
 __all__ = [
     "FlowCoverage",
@@ -185,7 +189,7 @@ class FlowCoverage:
 def _candidate_stream(
     names: Sequence[str],
     base: Mapping[str, "object"],
-    goals: Iterable["object"],
+    goals: GoalStream,
     coverage: FlowCoverage,
     rng: random.Random,
     extra: Sequence[Mapping[str, SoftFloat]],
@@ -195,11 +199,9 @@ def _candidate_stream(
     coverage-prioritized region sampling with a periodic unbiased draw
     from the admitted base regions.
 
-    ``goals`` is a tuple or a :class:`~repro.staticfp.regions.GoalStream`;
-    the stream is drawn from only as far as the tiers reach, so a
-    search that ends in the base lattice derives no goal."""
-    from repro.staticfp.regions import GoalStream
-
+    The :class:`~repro.staticfp.regions.GoalStream` is drawn from only
+    as far as the tiers reach, so a search that ends in the base
+    lattice derives no goal."""
     fmt = next(iter(base.values())).fmt if base else None
 
     def build(bits_by_name: Mapping[str, int]) -> dict[str, SoftFloat]:
@@ -223,9 +225,7 @@ def _candidate_stream(
     # Built tier: bindings a goal constructed, completed with each
     # missing variable's first lattice point.
     seen: set[tuple[int, ...]] = set()
-    built_goals = goals.built() if isinstance(goals, GoalStream) \
-        else [goal for goal in goals if goal.candidates]
-    for goal in built_goals:
+    for goal in goals.built():
         for built in goal.candidates:
             bits = dict(built)
             combo = tuple(
@@ -295,7 +295,6 @@ def guided_search(
     config: MachineConfig,
     *,
     bindings: Mapping[str, object] | None = None,
-    goals: Sequence["object"] | None = None,
     safety=None,
     analysis=None,
     seed: int = 754,
@@ -313,11 +312,7 @@ def guided_search(
     result carries the coverage map and the witness's goal.
     ``analysis`` (of ``expr`` under ``config``) is reused, not redone.
     """
-    from repro.staticfp.regions import (
-        GoalStream,
-        goal_stream,
-        variable_regions,
-    )
+    from repro.staticfp.regions import goal_stream, variable_regions
 
     names = sorted(
         set(expr_variables(expr)) | set(expr_variables(optimized))
@@ -328,10 +323,9 @@ def guided_search(
             from repro.staticfp.regions import BitRegion
 
             base[name] = BitRegion.full(config.fmt)
-    if goals is None:
-        goals = goal_stream(
-            expr, config, bindings, safety=safety, analysis=analysis
-        )
+    goals = goal_stream(
+        expr, config, bindings, safety=safety, analysis=analysis
+    )
     coverage = FlowCoverage.for_search(
         expr, optimized, config, bindings, analysis=analysis, safety=safety
     )
@@ -379,10 +373,9 @@ def guided_search(
     finally:
         if stream is not None:
             stream.unsubscribe(coverage.sink)
-            if isinstance(goals, GoalStream):
-                telemetry.metrics.log_histogram(
-                    "optsim.search_goals", stage="derived"
-                ).observe(len(goals.derived))
+            telemetry.metrics.log_histogram(
+                "optsim.search_goals", stage="derived"
+            ).observe(len(goals.derived))
     return dataclasses.replace(result, coverage=coverage)
 
 

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import random
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from repro.optsim import (
     optimize,
     parse_expr,
 )
-from repro.optsim.guided import FlowCoverage, _candidate_stream
+from repro.optsim.guided import FlowCoverage
 from repro.softfloat import TINY8, SoftFloat, sf
 from repro.staticfp import regions as regions_module
 from repro.staticfp import lint
@@ -229,28 +228,6 @@ class TestGoalStream:
         assert [goal.name for goal in stream.built()] \
             == ["midpoint:((a * b) + c)"]
         assert stream.derived == []
-
-    def test_candidates_are_the_same_lazily_or_as_a_tuple(self):
-        for key, source, level, bindings in _goal_cases():
-            expr, config = parse_expr(source), optimization_level(level)
-            base = variable_regions(expr, config, bindings)
-            names = sorted(base)
-            optimized = optimize(expr, config)
-            streams = [
-                _candidate_stream(
-                    names, base, goals,
-                    FlowCoverage.for_search(expr, optimized, config,
-                                            bindings),
-                    random.Random(754), ())
-                for goals in (divergence_goals(expr, config, bindings),
-                              goal_stream(expr, config, bindings))
-            ]
-            tuple_side, lazy_side = (
-                [(sorted((n, v.bits) for n, v in binding.items()), label)
-                 for binding, label in islice(candidates, 400)]
-                for candidates in streams
-            )
-            assert lazy_side == tuple_side, (key, level)
 
     @pytest.mark.parametrize("key,level", [
         ("zero_divide_by_zero", "-Ofast"),
