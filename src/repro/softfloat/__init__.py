@@ -60,13 +60,7 @@ from repro.softfloat.convert import (
     softfloat_to_float,
     softfloat_to_int,
 )
-from repro.softfloat.directed import (
-    directed_bounds,
-    directed_envs,
-    down_env,
-    probe_op,
-    up_env,
-)
+from repro.softfloat.directed import down_env, probe_op, up_env
 from repro.softfloat.backend import (
     BACKEND_OP_ARITY,
     BACKEND_OPS,
@@ -182,8 +176,6 @@ __all__ = [
     # directed rounding
     "down_env",
     "up_env",
-    "directed_envs",
-    "directed_bounds",
     "probe_op",
 ]
 

@@ -8,7 +8,6 @@ test values never pollutes the caller's sticky flags*.
 
 from __future__ import annotations
 
-import math
 import struct
 from fractions import Fraction
 
@@ -191,11 +190,3 @@ def softfloat_to_int(
             kept += 1
         magnitude = kept
     return -magnitude if x.sign else magnitude
-
-
-def softfloat_nearest_host(x: SoftFloat) -> float:
-    """Alias used by reporting code; see :func:`softfloat_to_float`."""
-    value = softfloat_to_float(x)
-    if math.isnan(value) and x.sign:
-        return -math.nan
-    return value

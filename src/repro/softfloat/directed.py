@@ -1,12 +1,16 @@
 """Directed-rounding entry points for sound outward bounds.
 
-Interval arithmetic and the static analyzer both need the same
-primitive: "run one softfloat operation under roundTowardNegative /
+The primitive behind every outward-rounded bound in the package: "run
+one softfloat operation under roundTowardNegative /
 roundTowardPositive and tell me what happened".  Because every rounded
 result lies between the round-down and round-up values of the exact
 result, endpoint pairs computed here bracket the concrete result under
 *any* rounding direction — which is what makes the static interval
-domain sound for all five modes at once.
+domain sound for all five modes at once.  The domain's corner probe
+(:func:`repro.staticfp.domain._probe_corners`) is the one place that
+runs an operation over every corner under both directions;
+:class:`repro.interval.Interval` takes ``*`` and ``/`` from it and
+rounds its monotone ``+``, ``-`` and ``sqrt`` endpoints here directly.
 
 The probe environments are plain :class:`~repro.fpenv.FPEnv` instances
 (optionally carrying FTZ/DAZ so abrupt-underflow configurations are
@@ -25,14 +29,7 @@ from repro.softfloat.functions import fp_max, fp_min
 from repro.softfloat.sqrt import fp_sqrt
 from repro.softfloat.value import SoftFloat
 
-__all__ = [
-    "PROBE_OPS",
-    "down_env",
-    "up_env",
-    "directed_envs",
-    "probe_op",
-    "directed_bounds",
-]
+__all__ = ["PROBE_OPS", "down_env", "up_env", "probe_op"]
 
 #: Operation table used by probes (name -> callable taking operands+env).
 PROBE_OPS = {
@@ -58,11 +55,6 @@ def up_env(*, ftz: bool = False, daz: bool = False) -> FPEnv:
     return FPEnv(rounding=RoundingMode.TOWARD_POSITIVE, ftz=ftz, daz=daz)
 
 
-def directed_envs(*, ftz: bool = False, daz: bool = False) -> tuple[FPEnv, FPEnv]:
-    """``(down, up)`` environment pair for one outward-rounded step."""
-    return down_env(ftz=ftz, daz=daz), up_env(ftz=ftz, daz=daz)
-
-
 def probe_op(
     name: str, *operands: SoftFloat, env: FPEnv
 ) -> tuple[SoftFloat, FPFlag]:
@@ -74,20 +66,3 @@ def probe_op(
     env.clear_flags()
     result = PROBE_OPS[name](*operands, env)
     return result, env.flags
-
-
-def directed_bounds(
-    name: str,
-    *operands: SoftFloat,
-    ftz: bool = False,
-    daz: bool = False,
-) -> tuple[SoftFloat, SoftFloat, FPFlag]:
-    """Bracket one operation on exact operands: ``(down, up, flags)``.
-
-    ``flags`` is the union raised by the two directed evaluations; the
-    pair ``[down, up]`` encloses the correctly rounded result under
-    every rounding direction.
-    """
-    lo, lo_flags = probe_op(name, *operands, env=down_env(ftz=ftz, daz=daz))
-    hi, hi_flags = probe_op(name, *operands, env=up_env(ftz=ftz, daz=daz))
-    return lo, hi, lo_flags | hi_flags

@@ -31,7 +31,6 @@ __all__ = [
     "entry_outcome",
     "entry_witness_outcome",
     "run_entry",
-    "run_corpus",
     "corpus_outcomes",
     "precision_summary",
     "witness_outcomes",
@@ -149,13 +148,6 @@ def entry_outcome(entry: CorpusEntry) -> dict:
         ),
         "has_findings": report.has_findings,
         "gotcha_ids": sorted(report.gotcha_ids),
-    }
-
-
-def run_corpus() -> dict[str, LintReport]:
-    """Lint the full corpus (gotchas + clean), keyed by entry key."""
-    return {
-        e.key: run_entry(e) for e in GOTCHA_CORPUS + CLEAN_CORPUS
     }
 
 

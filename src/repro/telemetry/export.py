@@ -26,7 +26,6 @@ __all__ = [
     "load_trace",
     "load_trace_jsonl",
     "render_span_tree",
-    "metrics_snapshot",
     "write_metrics_json",
     "load_metrics_json",
     "render_metrics",
@@ -161,11 +160,6 @@ def render_span_tree(spans: Iterable[dict[str, Any]]) -> str:
 
 
 # -- metrics -----------------------------------------------------------
-
-
-def metrics_snapshot(telemetry: Telemetry) -> dict[str, Any]:
-    """A session's metrics as a JSON-ready dict."""
-    return telemetry.metrics.snapshot()
 
 
 def write_metrics_json(path: str, snapshot: dict[str, Any]) -> None:
