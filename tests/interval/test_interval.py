@@ -139,7 +139,6 @@ class TestOutwardRounding:
             Fraction(1, 10**17)
 
 
-
 INF = float("inf")
 
 
